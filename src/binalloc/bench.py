@@ -149,6 +149,7 @@ def run_campaign(config, jobs=1):
 
 def _trial_points(costs):
     """Placement points for one trial: best gets k-1, ties share the mean."""
+    costs = np.minimum(costs, np.finfo(float).max)  # failures (inf) tie; inf - inf is nan
     k = len(costs)
     order = np.argsort(costs, kind="stable")
     points = np.empty(k)

@@ -68,18 +68,29 @@ def _interior(x, n):
 
 @dataclass(frozen=True)
 class CentralizedEnergyCtx:
-    """Cached coupling weights and bias of the centralized energy."""
+    """Cached bias and coupling diag(quad) + penalty * output output^T, applied in O(n)."""
 
-    weights: np.ndarray  # -diag(quad) - penalty * output outer output
+    quad: np.ndarray
+    coupling_diag: np.ndarray  # quad + penalty * output**2
+    output: np.ndarray
+    penalty_output: np.ndarray  # penalty * output
     bias: np.ndarray  # quad*center + penalty*target*output
+
+    def grad(self, x, ratio):
+        coupled = self.quad * x + self.penalty_output * (self.output @ x)
+        return coupled - self.bias - ratio * np.log(1.0 / x - 1.0)
+
+    def hessian(self, barrier_curvature):
+        """Dense Hessian, given the barrier's diagonal Hessian ratio / (x - x^2)."""
+        hess = self.penalty_output[:, None] * self.output
+        hess.flat[:: hess.shape[0] + 1] = self.coupling_diag + barrier_curvature
+        return hess
 
 
 def centralized_ctx(instance):
-    weights = -np.diag(instance.quad) - instance.penalty * np.outer(
-        instance.output, instance.output
-    )
-    bias = instance.quad * instance.center + instance.penalty * instance.target * instance.output
-    return CentralizedEnergyCtx(weights=weights, bias=bias)
+    p, penalty_p = instance.output, instance.penalty * instance.output
+    bias = instance.quad * instance.center + instance.penalty * instance.target * p
+    return CentralizedEnergyCtx(instance.quad, instance.quad + penalty_p * p, p, penalty_p, bias)
 
 
 @dataclass(frozen=True)
@@ -97,12 +108,13 @@ def distributed_ctx(instance):
 
 def distributed_bias(instance, graph, y):
     """Affine-in-y bias of the distributed energy gradient."""
+    y = np.asarray(y, dtype=float)
     return instance.quad * instance.center + instance.penalty * instance.output * (
-        instance.target / instance.n - graph.laplacian @ y
+        instance.target / instance.n - graph.apply_laplacian(y)
     )
 
 
-def energy(instance, thermo, x, ctx=None):
+def energy(instance, thermo, x):
     """Problem cost plus barrier: the Lyapunov function of the centralized flows."""
     x = np.asarray(x, dtype=float)
     barrier = np.sum(barrier_integral(x, thermo.temp)) / thermo.time_const
@@ -111,16 +123,13 @@ def energy(instance, thermo, x, ctx=None):
 
 def grad(instance, thermo, x, ctx=None):
     ctx = ctx or centralized_ctx(instance)
-    x = _interior(x, instance.n)
-    ratio = thermo.temp / thermo.time_const
-    return -(ctx.weights @ x) - ctx.bias - ratio * np.log(1.0 / x - 1.0)
+    return ctx.grad(_interior(x, instance.n), thermo.temp / thermo.time_const)
 
 
 def hessian(instance, thermo, x, ctx=None):
     ctx = ctx or centralized_ctx(instance)
     x = _interior(x, instance.n)
-    ratio = thermo.temp / thermo.time_const
-    return -ctx.weights + np.diag(ratio / (x - x**2))
+    return ctx.hessian(thermo.temp / thermo.time_const / (x - x**2))
 
 
 def energy_tilde(instance, graph, thermo, x, y):
@@ -141,7 +150,7 @@ def grad_y_tilde(instance, graph, thermo, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return instance.penalty * (
-        graph.laplacian @ (instance.output * x + graph.laplacian @ y)
+        graph.apply_laplacian(instance.output * x + graph.apply_laplacian(y))
     )
 
 

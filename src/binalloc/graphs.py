@@ -10,6 +10,8 @@ from .errors import ConnectivityError, InvalidGraphError, ShapeError
 
 # Eigenvalues of the Laplacian below this are treated as the zero mode.
 _NULL_EIG_TOL = 1e-10
+# Fill of the n*n Laplacian up to which L @ v uses edge lists; an arc costs ~24 BLAS entries.
+_SPARSE_FILL = 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,14 @@ class Graph:
     edges: tuple
     laplacian: np.ndarray
     neighbors: tuple
+    arcs: tuple | None = None  # (rows, cols, degree) of the directed edges, if sparse
+
+    def apply_laplacian(self, v):
+        """L @ v: O(n + |E|) from the edge lists, or a dense product."""
+        if self.arcs is None:
+            return self.laplacian @ v
+        rows, cols, degree = self.arcs
+        return degree * v - np.bincount(rows, v[cols], self.n)
 
     def two_hop(self, i):
         """Nodes reachable from i in exactly one or two hops (excluding i)."""
@@ -57,11 +67,15 @@ def build_graph(n, edges):
     for i, j in edge_set:
         adj[i].append(j)
         adj[j].append(i)
+    edges = tuple(sorted(edge_set))
+    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    arcs = (np.r_[heads, tails], np.r_[tails, heads], lap.diagonal().copy())
     return Graph(
         n=n,
-        edges=tuple(sorted(edge_set)),
+        edges=edges,
         laplacian=lap,
         neighbors=tuple(tuple(sorted(a)) for a in adj),
+        arcs=arcs if 2 * len(edges) <= _SPARSE_FILL * n * n else None,
     )
 
 

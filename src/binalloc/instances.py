@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCoefficientError, ShapeError
+from .errors import ConnectivityError, InvalidCoefficientError, ShapeError
+from .graphs import build_graph, is_connected
 
 
 def _vec(values, n=None, name="vector"):
@@ -136,7 +137,7 @@ def eval_p2(instance, graph, x, y):
         - 0.5 * instance.quad * instance.center**2
         + instance.passive
     )
-    residual = instance.output * x + graph.laplacian @ y - instance.target / instance.n
+    residual = instance.output * x + graph.apply_laplacian(y) - instance.target / instance.n
     return float(agent.sum() + 0.5 * instance.penalty * float(residual @ residual))
 
 
@@ -223,9 +224,6 @@ def from_json_dict(doc):
     inst = Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
     edges = doc.get("edges")
     if edges is not None:
-        from .errors import ConnectivityError
-        from .graphs import build_graph, is_connected  # deferred: import cycle
-
         graph = build_graph(n, [tuple(e) for e in edges])  # validates endpoints
         if not is_connected(graph):
             raise ConnectivityError("instance edge list describes a disconnected graph")

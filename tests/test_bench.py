@@ -86,6 +86,9 @@ def test_q_ties_share_mean_points():
     assert scores["a"] == pytest.approx(0.75)
     assert scores["b"] == pytest.approx(0.75)
     assert scores["c"] == pytest.approx(0.0)
+    # two failed methods (infinite cost) tie for the last two placements
+    scores = q_metric(records_from_table({"a": [np.inf], "b": [1.0], "c": [np.inf]}))
+    assert scores == pytest.approx({"a": 0.25, "b": 1.0, "c": 0.25})
 
 
 def test_q_rejects_missing_method():

@@ -6,6 +6,7 @@ import pytest
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, run
 from binalloc.dynamics import (
     FlowState,
+    _centralized_rates,
     agent_rates,
     init_state,
     step_binnn_c,
@@ -27,7 +28,7 @@ from binalloc.energy import (
 )
 from binalloc.errors import ConnectivityError, NumericFailureError
 from binalloc.graphs import build_graph, named_topology, y_star
-from binalloc.instances import Instance
+from binalloc.instances import Instance, random_instance
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 
@@ -101,6 +102,28 @@ def test_binnn_c_matches_independent_assembly():
         assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
 
 
+def test_centralized_kernels_match_dense_assembly_at_n2000():
+    n = 2000
+    inst = random_instance(n, 5)
+    x = np.random.default_rng(6).uniform(0.1, 0.9, n)
+    ratio = THERMO.temp / THERMO.time_const
+    coupling = np.diag(inst.quad) + inst.penalty * np.outer(inst.output, inst.output)
+    bias = inst.quad * inst.center + inst.penalty * inst.target * inst.output
+    ref_grad = coupling @ x - bias - ratio * np.log(1.0 / x - 1.0)
+    ref_hess = coupling + np.diag(ratio / (x - x**2))
+    descent = (x - x**2) / THERMO.temp * -ref_grad
+    ctx = centralized_ctx(inst)
+    pairs = [
+        (grad(inst, THERMO, x, ctx), ref_grad),
+        (hessian(inst, THERMO, x, ctx), ref_hess),
+        (_centralized_rates(x, ctx, THERMO, newton=False)[0], descent),
+        (_centralized_rates(x, ctx, THERMO, newton=True)[0],
+         pt_inverse(ref_hess, THERMO.floor) @ descent),
+    ]
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_hnn_matches_binnn_c_when_hessian_is_identity():
     # zero outputs decouple agents; a = -3 with T = tau = 1 puts H(0.5) = I
     inst = Instance(quad=[-3.0, -3.0, -3.0], center=[0.3, 0.5, 0.8],
@@ -160,6 +183,15 @@ def test_binnn_d_conserves_y_sum_per_step():
     nxt = step_binnn_d(state, inst, graph, THERMO, alpha=1.0, h=1e-2)
     drift = abs(float(nxt.y.sum()) - float(state.y.sum()))
     assert drift <= 1e-12 * max(np.abs(state.y).sum(), 1.0)
+
+
+def test_binnn_d_conserves_y_sum_on_sparse_ring():
+    graph = named_topology("ring", 2000)
+    assert graph.arcs is not None  # the edge-list Laplacian product
+    cfg = SolverConfig(thermo=THERMO, step=1e-2, t_max=2.0, sample_stride=0, seed=0)
+    y = run("binnn-d", random_instance(2000, 7), graph, cfg).y_final
+    assert np.abs(y).sum() > 0.0
+    assert abs(float(y.sum())) <= 1e-8 * max(1.0, float(np.abs(y).sum()))
 
 
 def test_binnn_d_matches_independent_assembly():

@@ -6,7 +6,6 @@ from binalloc.energy import (
     activation,
     activation_inv,
     barrier_integral,
-    centralized_ctx,
     energy,
     energy_tilde,
     grad,
@@ -107,9 +106,8 @@ def test_hessian_matches_fd_of_grad(bench_small):
 def test_hessian_diag_at_half(bench_small):
     inst = bench_small(n=5, seed=9)
     thermo = Thermo(2.0, 0.5, 0.1)
-    ctx = centralized_ctx(inst)
     hess = hessian(inst, thermo, np.full(5, 0.5))
-    expect = -np.diag(ctx.weights) + 4.0 * thermo.temp / thermo.time_const
+    expect = inst.quad + inst.penalty * inst.output**2 + 4.0 * thermo.temp / thermo.time_const
     assert np.allclose(np.diag(hess), expect, rtol=1e-12)
 
 

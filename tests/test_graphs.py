@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from binalloc import graphs
 from binalloc.errors import ConnectivityError, InvalidGraphError
 from binalloc.graphs import (
     build_graph,
@@ -126,3 +127,39 @@ def test_two_hop_sets():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.two_hop(0) == [1, 2]
     assert g.two_hop(1) == [0, 2, 3]
+
+
+def _tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return build_graph(n, [(i, int(rng.integers(0, i))) for i in range(1, n)])
+
+
+# complete and random graphs at n=2000 have ~2M pairs: too slow to build in a unit test
+@pytest.mark.parametrize(
+    "n, topology",
+    [(n, t) for n in (1, 2, 3, 20) for t in ("ring", "path", "tree", "complete", "random")]
+    + [(2000, t) for t in ("ring", "path", "tree")],
+)
+def test_apply_laplacian_equals_dense_product_on_both_sides(n, topology, monkeypatch):
+    g = _tree(n, seed=n) if topology == "tree" else named_topology(topology, n, seed=n)
+    rng = np.random.default_rng(n)
+    # integer entries make every sum exact, so any summation order gives the same bits
+    v = rng.integers(-1000, 1000, n).astype(float)
+    sides = []
+    for fill in (0.0, 1.0):  # 0 stores only edgeless graphs as edge lists, 1 every graph
+        monkeypatch.setattr(graphs, "_SPARSE_FILL", fill)
+        sides.append(build_graph(n, g.edges))
+    assert sides[1].arcs is not None and (sides[0].arcs is None or not g.edges)
+    for side in sides:
+        got = side.apply_laplacian(v)
+        assert got.shape == (n,)
+        assert np.array_equal(got, g.laplacian @ v)
+    w = rng.normal(size=n)
+    scale = 1e-13 * (1.0 + np.abs(np.diag(g.laplacian)).max()) * np.abs(w).max()
+    assert np.max(np.abs(g.apply_laplacian(w) - g.laplacian @ w)) <= scale
+
+
+def test_build_graph_uses_edge_lists_only_on_sparse_graphs():
+    assert named_topology("ring", 2000).arcs is not None
+    assert named_topology("ring", 20).arcs is None
+    assert random_connected_graph(400, 0.2, seed=0).arcs is None
