@@ -120,3 +120,11 @@ def brute_force(instance, cap=BRUTE_FORCE_CAP):
             best_code = start + k
     chosen = tuple(i for i in range(n) if (best_code >> (n - 1 - i)) & 1)
     return _exact(instance, chosen)
+
+
+# Name -> solver for the CLI and campaigns. The lambdas look the function up
+# when called, so a wrapper installed on this module is the one that runs.
+SOLVERS = {
+    "greedy": lambda instance: greedy(instance),
+    "brute": lambda instance: brute_force(instance),
+}

@@ -16,12 +16,11 @@ from .instances import random_instance
 
 COST_TIE_TOL = 1e-9
 
+# Neural method name -> (flow, annealed): every flow, and with "-da" its annealed run.
 NN_METHODS = {
-    "binnn-c": ("binnn-c", False),
-    "binnn-c-da": ("binnn-c", True),
-    "binnn-d": ("binnn-d", False),
-    "binnn-d-da": ("binnn-d", True),
-    "hnn": ("hnn", False),
+    flow + suffix: (flow, suffix == "-da")
+    for flow in dynamics.FLOW_KINDS
+    for suffix in ("", "-da")
 }
 DEFAULT_METHODS = ("binnn-c", "binnn-c-da", "binnn-d", "binnn-d-da", "hnn", "greedy")
 
@@ -47,7 +46,6 @@ class CampaignConfig:
     p_ref: float = 1500.0
     gamma: float = 1.0
     extra_edge_fraction: float = 0.2
-    brute_cap: int = baselines.BRUTE_FORCE_CAP
     solver: dynamics.SolverConfig = field(
         default_factory=lambda: dynamics.SolverConfig(
             thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
@@ -67,12 +65,10 @@ class CampaignConfig:
 
 def solve_with_method(method, instance, graph, solver, seed=None):
     """Dispatch one named method. Returns (cost, iterations, converged)."""
-    if method == "greedy":
-        sol = baselines.greedy(instance)
-        return sol.cost, len(sol.chosen) + 1, True
-    if method == "brute":
-        sol = baselines.brute_force(instance)
-        return sol.cost, 1 << instance.n, True
+    if method in baselines.SOLVERS:
+        sol = baselines.SOLVERS[method](instance)
+        iterations = 1 << instance.n if method == "brute" else len(sol.chosen) + 1
+        return sol.cost, iterations, True
     if method not in NN_METHODS:
         raise ValueError(f"unknown method {method!r}")
     flow, use_anneal = NN_METHODS[method]
@@ -210,9 +206,8 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3, gamma=1.0, p_ref=No
     return float(np.median(times))
 
 
-def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, brute_cap=None, solver=None):
+def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, solver=None):
     """Median solve wall time per method per size; brute force skips large n."""
-    brute_cap = baselines.BRUTE_FORCE_CAP if brute_cap is None else brute_cap
     solver = solver or dynamics.SolverConfig(
         thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
         step=0.02,
@@ -224,7 +219,7 @@ def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, brute_cap=None, solve
     for n in n_grid:
         seeds = np.random.SeedSequence([seed, n]).spawn(per_n_trials)
         for method in methods:
-            if method == "brute" and n > brute_cap:
+            if method == "brute" and n > baselines.BRUTE_FORCE_CAP:
                 continue
             times = []
             for tss in seeds:

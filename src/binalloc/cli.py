@@ -11,10 +11,10 @@ import numpy as np
 from . import baselines, bench, dynamics
 from .energy import Thermo
 from .errors import BinallocError
-from .graphs import named_topology
+from .graphs import build_graph, named_topology
 from .instances import load_instance, random_instance, save_instance
 
-SOLVE_METHODS = ("binnn-c", "binnn-d", "hnn", "greedy", "brute", "round")
+SOLVE_METHODS = dynamics.FLOW_KINDS + tuple(baselines.SOLVERS) + ("round",)
 
 
 def _pair(text):
@@ -84,8 +84,6 @@ def _cmd_gen(args):
 
 def _graph_for(args, n, edges):
     if edges is not None:
-        from .graphs import build_graph
-
         return build_graph(n, edges)
     return named_topology(
         args.topology or "random", n, seed=args.graph_seed, extra_edge_fraction=args.extra_edges
@@ -96,14 +94,12 @@ def _cmd_solve(args):
     instance, edges = load_instance(args.instance)
     method = args.method
     cfg = _solver_config(args)
-    if method in ("greedy", "brute", "round"):
-        if method == "greedy":
-            sol = baselines.greedy(instance)
-        elif method == "brute":
-            sol = baselines.brute_force(instance)
-        else:
+    if method not in dynamics.FLOW_KINDS:
+        if method == "round":
             frac = np.loadtxt(args.frac_point, delimiter=",").ravel()
             sol = baselines.round_relaxed(frac, instance)
+        else:
+            sol = baselines.SOLVERS[method](instance)
         bits = sol.bits(instance.n)
         print(f"method: {method}")
         print(f"bits: {''.join(map(str, bits))}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import energy as en
-from .errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
+from .errors import ConnectivityError, NumericFailureError, ShapeError
 from .graphs import is_connected
 from .instances import eval_p1, round_to_binary
 
@@ -123,77 +123,51 @@ def init_state(n, eps_init=0.05, seed=None, mode="centralized"):
     return FlowState(x=x, y=y, t=0.0)
 
 
-def _check_interior(x):
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise DomainError("flow state left the open hypercube")
+def flow_rates(flow, instance, graph, thermo, alpha):
+    """The flow's vector field at fixed knobs, built once per integration round.
 
-
-def _centralized_rates(x, ctx, thermo, newton):
-    """Decision-variable velocity and the energy gradient it descends."""
+    Returns ``rates(x, y) -> (xdot, ydot, grad)``: the decision velocity,
+    the auxiliary velocity (None off binnn-d) and the energy gradient that
+    the decision velocity descends.
+    """
     ratio = thermo.temp / thermo.time_const
-    gap = x - x * x
-    grad = ctx.grad(x, ratio)
-    descent = gap * -grad / thermo.temp
-    if newton:
-        # inline PT-inverse (Hessian is symmetric by construction) applied
-        # as two matvecs; cheaper than forming the full inverse
-        eigvals, eigvecs = np.linalg.eigh(ctx.hessian(ratio / gap))
-        np.abs(eigvals, out=eigvals)
-        np.maximum(eigvals, thermo.floor, out=eigvals)
-        xdot = eigvecs @ ((eigvecs.T @ descent) / eigvals)
-    else:
-        xdot = descent
-    return xdot, grad
+    if flow == "binnn-d":
+        ctx = en.distributed_ctx(instance)
+        y_gain = -alpha * instance.penalty
 
+        def rates(x, y):
+            lap_y = graph.apply_laplacian(y)
+            gap = x - x * x
+            grad = ctx.grad(x, lap_y, ratio)
+            inverse = en.pt_inverse_scalar(ctx.hessian_diag(ratio / gap), thermo.floor)
+            xdot = inverse * (gap / thermo.temp) * -grad
+            ydot = y_gain * graph.apply_laplacian(instance.output * x + lap_y)
+            return xdot, ydot, grad
 
-def _distributed_rates(x, y, instance, graph, dctx, thermo, alpha):
-    ratio = thermo.temp / thermo.time_const
-    lap_y = graph.apply_laplacian(y)
-    bias = instance.quad * instance.center + instance.penalty * instance.output * (
-        instance.target / instance.n - lap_y
-    )
-    grad_x = -(dctx.weights_diag * x) - bias - ratio * np.log(1.0 / x - 1.0)
-    hess_diag = -dctx.weights_diag + ratio / (x - x**2)
-    slope = (x - x**2) / thermo.temp
-    xdot = en.pt_inverse_scalar(hess_diag, thermo.floor) * slope * -grad_x
-    ydot = -alpha * instance.penalty * graph.apply_laplacian(instance.output * x + lap_y)
-    return xdot, ydot, grad_x
+        return rates
+    ctx = en.centralized_ctx(instance)
+    newton = flow == "binnn-c"
+
+    def rates(x, y):
+        gap = x - x * x
+        grad = ctx.grad(x, ratio)
+        xdot = gap * -grad / thermo.temp
+        if newton:
+            # inline PT-inverse (Hessian is symmetric by construction) applied
+            # as two matvecs; cheaper than forming the full inverse
+            eigvals, eigvecs = np.linalg.eigh(ctx.hessian(ratio / gap))
+            np.abs(eigvals, out=eigvals)
+            np.maximum(eigvals, thermo.floor, out=eigvals)
+            xdot = eigvecs @ ((eigvecs.T @ xdot) / eigvals)
+        return xdot, None, grad
+
+    return rates
 
 
 def _advance(state, xdot, ydot, h, eps_clip):
     x = np.minimum(np.maximum(state.x + h * xdot, eps_clip), 1.0 - eps_clip)  # np.clip, less overhead
     y = None if state.y is None else state.y + h * ydot
     return FlowState(x=x, y=y, t=state.t + h)
-
-
-def step_binnn_c(state, instance, ctx, thermo, h, eps_clip=1e-9):
-    """One explicit Euler step of the Newton-like centralized flow."""
-    _check_interior(state.x)
-    xdot, _ = _centralized_rates(state.x, ctx, thermo, newton=True)
-    if not np.all(np.isfinite(xdot)):
-        raise NumericFailureError("non-finite flow rate", state=state)
-    return _advance(state, xdot, None, h, eps_clip)
-
-
-def step_hnn(state, instance, ctx, thermo, h, eps_clip=1e-9):
-    """One explicit Euler step of the classic gradient-like Hopfield flow."""
-    _check_interior(state.x)
-    xdot, _ = _centralized_rates(state.x, ctx, thermo, newton=False)
-    if not np.all(np.isfinite(xdot)):
-        raise NumericFailureError("non-finite flow rate", state=state)
-    return _advance(state, xdot, None, h, eps_clip)
-
-
-def step_binnn_d(state, instance, graph, thermo, alpha, h, eps_clip=1e-9):
-    """One simultaneous explicit Euler step of the distributed flow."""
-    _check_interior(state.x)
-    dctx = en.distributed_ctx(instance)
-    xdot, ydot, _ = _distributed_rates(
-        state.x, state.y, instance, graph, dctx, thermo, alpha
-    )
-    if not (np.all(np.isfinite(xdot)) and np.all(np.isfinite(ydot))):
-        raise NumericFailureError("non-finite flow rate", state=state)
-    return _advance(state, xdot, ydot, h, eps_clip)
 
 
 def agent_rates(state, instance, graph, thermo, alpha, agent):
@@ -260,46 +234,28 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples):
     so terminal points certify as near-critical (the velocity alone can be
     small near corners where the activation slope vanishes).
     """
-    newton = flow == "binnn-c"
-    ctx = en.centralized_ctx(instance) if flow != "binnn-d" else None
-    dctx = en.distributed_ctx(instance) if flow == "binnn-d" else None
+    rates = flow_rates(flow, instance, graph, thermo, config.alpha)
     h = config.step
     iterations = 0
     converged = False
     while state.t < t_limit - 1e-12:
-        if flow == "binnn-d":
-            xdot, ydot, grad = _distributed_rates(
-                state.x, state.y, instance, graph, dctx, thermo, config.alpha
-            )
-            x_rate = float(np.abs(xdot).max())
-            y_rate = float(np.abs(ydot).max())
-            ok = math.isfinite(x_rate) and math.isfinite(y_rate)
-            done = (
-                x_rate < config.tol_x
-                and y_rate < config.tol_y
-                and float(np.abs(grad).max()) < 10.0 * config.tol_x
-            )
-        else:
-            xdot, grad = _centralized_rates(state.x, ctx, thermo, newton)
-            ydot = None
-            x_rate = float(np.abs(xdot).max())
-            ok = math.isfinite(x_rate)
-            done = x_rate < config.tol_x and float(np.abs(grad).max()) < 10.0 * config.tol_x
-        if not ok:
+        xdot, ydot, grad = rates(state.x, state.y)
+        x_rate = float(np.abs(xdot).max())
+        y_rate = 0.0 if ydot is None else float(np.abs(ydot).max())
+        if not (math.isfinite(x_rate) and math.isfinite(y_rate)):
             raise NumericFailureError(
                 "non-finite flow rate", state=state, trajectory=samples
             )
-        if done:
+        if (
+            x_rate < config.tol_x
+            and y_rate < config.tol_y
+            and float(np.abs(grad).max()) < 10.0 * config.tol_x
+        ):
             converged = True
             break
         if config.integrator == "midpoint":
             mid = _advance(state, xdot, ydot, 0.5 * h, config.eps_clip)
-            if flow == "binnn-d":
-                xdot, ydot, _ = _distributed_rates(
-                    mid.x, mid.y, instance, graph, dctx, thermo, config.alpha
-                )
-            else:
-                xdot, _ = _centralized_rates(mid.x, ctx, thermo, newton)
+            xdot, ydot, _ = rates(mid.x, mid.y)
         state = _advance(state, xdot, ydot, h, config.eps_clip)
         iterations += 1
         if config.sample_stride > 0 and iterations % config.sample_stride == 0:
@@ -428,11 +384,11 @@ def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=1e-6):
     )
 
 
-def write_trajectory_csv(result, path, n=None):
+def write_trajectory_csv(result, path):
     """Columns: t, x_0..x_{n-1} [, y_0..y_{n-1}], energy; one row per sample."""
     if not result.trajectory:
         raise ValueError("result has no trajectory samples")
-    n = len(result.trajectory[0][1]) if n is None else n
+    n = len(result.trajectory[0][1])
     has_y = result.trajectory[0][2] is not None
     header = ["t"] + [f"x_{i}" for i in range(n)]
     if has_y:

@@ -49,7 +49,6 @@ def barrier_integral(z, temp):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise DomainError("barrier_integral requires z in [0,1]")
-    out = np.zeros_like(z)
     interior = (z > _ENDPOINT_GUARD) & (z < 1.0 - _ENDPOINT_GUARD)
     zi = np.where(interior, z, 0.5)  # placeholder keeps logs finite
     vals = temp * (np.log1p(-zi) - zi * np.log(1.0 / zi - 1.0))
@@ -95,22 +94,28 @@ def centralized_ctx(instance):
 
 @dataclass(frozen=True)
 class DistributedEnergyCtx:
-    """Diagonal weights of the distributed energy; the bias depends on y."""
+    """Cached constants of the distributed energy, separable in x given L y."""
 
-    weights_diag: np.ndarray  # -(quad + penalty * output^2)
+    coupling_diag: np.ndarray  # quad + penalty * output**2
+    penalty_output: np.ndarray  # penalty * output
+    quad_center: np.ndarray  # quad * center
+    target_share: float  # target / n
+
+    def grad(self, x, lap_y, ratio):
+        bias = self.quad_center + self.penalty_output * (self.target_share - lap_y)
+        return self.coupling_diag * x - bias - ratio * np.log(1.0 / x - 1.0)
+
+    def hessian_diag(self, barrier_curvature):
+        """The Hessian in x is diagonal: its diagonal, given the barrier's ratio / (x - x^2)."""
+        return self.coupling_diag + barrier_curvature
 
 
 def distributed_ctx(instance):
     return DistributedEnergyCtx(
-        weights_diag=-(instance.quad + instance.penalty * instance.output**2)
-    )
-
-
-def distributed_bias(instance, graph, y):
-    """Affine-in-y bias of the distributed energy gradient."""
-    y = np.asarray(y, dtype=float)
-    return instance.quad * instance.center + instance.penalty * instance.output * (
-        instance.target / instance.n - graph.apply_laplacian(y)
+        instance.quad + instance.penalty * instance.output**2,
+        instance.penalty * instance.output,
+        instance.quad * instance.center,
+        instance.target / instance.n,
     )
 
 
@@ -138,12 +143,10 @@ def energy_tilde(instance, graph, thermo, x, y):
     return eval_p2(instance, graph, x, y) + barrier
 
 
-def grad_x_tilde(instance, graph, thermo, x, y, ctx=None):
-    ctx = ctx or distributed_ctx(instance)
+def grad_x_tilde(instance, graph, thermo, x, y):
     x = _interior(x, instance.n)
-    ratio = thermo.temp / thermo.time_const
-    bias = distributed_bias(instance, graph, y)
-    return -(ctx.weights_diag * x) - bias - ratio * np.log(1.0 / x - 1.0)
+    lap_y = graph.apply_laplacian(np.asarray(y, dtype=float))
+    return distributed_ctx(instance).grad(x, lap_y, thermo.temp / thermo.time_const)
 
 
 def grad_y_tilde(instance, graph, thermo, x, y):
@@ -154,12 +157,10 @@ def grad_y_tilde(instance, graph, thermo, x, y):
     )
 
 
-def hessian_x_tilde(instance, graph, thermo, x, ctx=None):
+def hessian_x_tilde(instance, graph, thermo, x):
     """Diagonal of the distributed Hessian in x (the full matrix is diagonal)."""
-    ctx = ctx or distributed_ctx(instance)
     x = _interior(x, instance.n)
-    ratio = thermo.temp / thermo.time_const
-    return -ctx.weights_diag + ratio / (x - x**2)
+    return distributed_ctx(instance).hessian_diag(thermo.temp / thermo.time_const / (x - x**2))
 
 
 def pt_inverse(mat, floor):

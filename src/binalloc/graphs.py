@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,21 @@ class Graph:
 
     n: int
     edges: tuple
-    laplacian: np.ndarray
     neighbors: tuple
     arcs: tuple | None = None  # (rows, cols, degree) of the directed edges, if sparse
+
+    @cached_property
+    def laplacian(self):
+        """Dense Laplacian: -1 on edges, degree on the diagonal, zero row sums.
+
+        Built on first read and kept. Edge-list graphs never read it in a flow
+        step, so they hold no n x n matrix unless an oracle asks for it.
+        """
+        lap = np.zeros((self.n, self.n))
+        heads, tails = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        lap[heads, tails] = lap[tails, heads] = -1.0
+        np.fill_diagonal(lap, [len(nbrs) for nbrs in self.neighbors])
+        return lap
 
     def apply_laplacian(self, v):
         """L @ v: O(n + |E|) from the edge lists, or a dense product."""
@@ -44,38 +57,28 @@ class Graph:
         return sorted(reach)
 
 
-def laplacian(n, edges):
-    """Dense Laplacian: -1 on edges, degree on the diagonal, zero row sums."""
-    lap = np.zeros((n, n))
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise InvalidGraphError(f"self-loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidGraphError(f"edge ({i},{j}) out of range for n={n}")
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-    return lap
-
-
 def build_graph(n, edges):
+    """Validate and store an undirected edge list; duplicates and orientation are ignored."""
     edge_set = {tuple(sorted((int(i), int(j)))) for i, j in edges}
-    lap = laplacian(n, edge_set)
     adj = [[] for _ in range(n)]
     for i, j in edge_set:
+        if i == j:
+            raise InvalidGraphError(f"self-loop at node {i}")
+        if i < 0 or j >= n:
+            raise InvalidGraphError(f"edge ({i},{j}) out of range for n={n}")
         adj[i].append(j)
         adj[j].append(i)
     edges = tuple(sorted(edge_set))
-    heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    arcs = (np.r_[heads, tails], np.r_[tails, heads], lap.diagonal().copy())
+    arcs = None
+    if 2 * len(edges) <= _SPARSE_FILL * n * n:
+        heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        degree = np.array([len(a) for a in adj], dtype=float)
+        arcs = (np.r_[heads, tails], np.r_[tails, heads], degree)
     return Graph(
         n=n,
         edges=edges,
-        laplacian=lap,
         neighbors=tuple(tuple(sorted(a)) for a in adj),
-        arcs=arcs if 2 * len(edges) <= _SPARSE_FILL * n * n else None,
+        arcs=arcs,
     )
 
 
@@ -134,17 +137,18 @@ def random_connected_graph(n, extra_edge_fraction=0.2, seed=None):
     for k in range(1, n):
         parent = order[rng.integers(0, k)]
         edges.add(tuple(sorted((int(order[k]), int(parent)))))
-    rest = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in edges
-    ]
-    if rest and extra_edge_fraction > 0:
-        take = int(round(extra_edge_fraction * len(rest)))
-        take = min(take, len(rest))
-        idx = rng.choice(len(rest), size=take, replace=False)
-        edges.update(rest[k] for k in idx)
+    if extra_edge_fraction > 0:
+        rest = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (i, j) not in edges
+        ]
+        if rest:
+            take = int(round(extra_edge_fraction * len(rest)))
+            take = min(take, len(rest))
+            idx = rng.choice(len(rest), size=take, replace=False)
+            edges.update(rest[k] for k in idx)
     return build_graph(n, edges)
 
 

@@ -1,10 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, Thermo
+from binalloc import AnnealSchedule, SolverConfig, Thermo, baselines
 from binalloc.bench import (
+    NN_METHODS,
     CampaignConfig,
     TrialRecord,
     median_step_time,
@@ -16,6 +18,8 @@ from binalloc.bench import (
     write_q_csv,
     write_sweep_csv,
 )
+from binalloc.cli import build_parser
+from binalloc.dynamics import FLOW_KINDS
 from binalloc.errors import IncompleteCampaignError
 from binalloc.graphs import random_connected_graph
 from binalloc.instances import random_instance
@@ -136,6 +140,20 @@ def test_solve_with_method_unknown():
     graph = random_connected_graph(4, 0.2, 0)
     with pytest.raises(ValueError):
         solve_with_method("sdp", inst, graph, FAST_SOLVER)
+
+
+def test_every_registered_method_solves():
+    # one registry: the flows, each with an annealed "-da" run, plus the baselines
+    assert NN_METHODS["hnn-da"] == ("hnn", True)
+    inst = random_instance(4, 0, p_ref=20.0)
+    graph = random_connected_graph(4, 0.2, 0)
+    solver = replace(FAST_SOLVER, step=0.005, t_max=1.0)
+    for method in (*NN_METHODS, *baselines.SOLVERS):
+        cost, iterations, _ = solve_with_method(method, inst, graph, solver, seed=1)
+        assert np.isfinite(cost) and iterations >= 1
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+    choices = solve._option_string_actions["--method"].choices
+    assert tuple(choices) == FLOW_KINDS + tuple(baselines.SOLVERS) + ("round",)
 
 
 def test_median_step_time_positive():

@@ -6,12 +6,10 @@ import pytest
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, run
 from binalloc.dynamics import (
     FlowState,
-    _centralized_rates,
+    _advance,
     agent_rates,
+    flow_rates,
     init_state,
-    step_binnn_c,
-    step_binnn_d,
-    step_hnn,
     terminal_diagnostics,
     write_trajectory_csv,
 )
@@ -50,6 +48,12 @@ def interior_state(n, seed, with_y=False):
     return FlowState(x=x, y=y, t=0.0)
 
 
+def euler_step(flow, state, inst, thermo, h, graph=None, alpha=1.0):
+    """One explicit Euler step of a flow, through the kernel the integrator uses."""
+    xdot, ydot, _ = flow_rates(flow, inst, graph, thermo, alpha)(state.x, state.y)
+    return _advance(state, xdot, ydot, h, 1e-9)
+
+
 def test_init_state_ball_and_determinism():
     s = init_state(20, eps_init=0.05, seed=42)
     assert np.all(s.x >= 0.45) and np.all(s.x <= 0.55)
@@ -63,14 +67,13 @@ def test_init_state_ball_and_determinism():
         init_state(3, eps_init=0.7)
 
 
-def test_step_binnn_c_equilibrium_fixed_point():
+def test_binnn_c_equilibrium_fixed_point():
     # at x = 0.5 the coupling, bias and barrier slopes all cancel by design
     inst = Instance(quad=[-5.0], center=[0.4], passive=[0.0], output=[1.0],
                     penalty=1.0, target=0.0)
-    ctx = centralized_ctx(inst)
     state = FlowState(x=np.array([0.5]), y=None, t=0.0)
     assert grad(inst, THERMO, state.x)[0] == pytest.approx(0.0, abs=1e-15)
-    nxt = step_binnn_c(state, inst, ctx, THERMO, h=0.1)
+    nxt = euler_step("binnn-c", state, inst, THERMO, h=0.1)
     assert nxt.x[0] == 0.5
     assert nxt.t == pytest.approx(0.1)
 
@@ -79,10 +82,9 @@ def test_binnn_c_sign_matches_negative_gradient():
     # bistable 1-D case: the Newton-like flow keeps the HNN sign structure
     inst = Instance(quad=[-10.0], center=[0.7], passive=[0.0], output=[1.0],
                     penalty=1.0, target=0.5)
-    ctx = centralized_ctx(inst)
     for x in (0.05, 0.3, 0.5, 0.77, 0.95):
         state = FlowState(x=np.array([x]), y=None, t=0.0)
-        nxt = step_binnn_c(state, inst, ctx, THERMO, h=1e-4)
+        nxt = euler_step("binnn-c", state, inst, THERMO, h=1e-4)
         g = grad(inst, THERMO, state.x)[0]
         assert np.sign(nxt.x[0] - x) == np.sign(-g)
 
@@ -90,11 +92,10 @@ def test_binnn_c_sign_matches_negative_gradient():
 def test_binnn_c_matches_independent_assembly():
     # assemble the flow from its published pieces with separate code paths
     inst = small_instance(8, seed=3)
-    ctx = centralized_ctx(inst)
     h = 1e-3
     for seed in range(5):
         state = interior_state(8, seed)
-        nxt = step_binnn_c(state, inst, ctx, THERMO, h)
+        nxt = euler_step("binnn-c", state, inst, THERMO, h)
         got = (nxt.x - state.x) / h
         hess = hessian(inst, THERMO, state.x)
         slope = np.diag((state.x - state.x**2) / THERMO.temp)
@@ -116,8 +117,8 @@ def test_centralized_kernels_match_dense_assembly_at_n2000():
     pairs = [
         (grad(inst, THERMO, x, ctx), ref_grad),
         (hessian(inst, THERMO, x, ctx), ref_hess),
-        (_centralized_rates(x, ctx, THERMO, newton=False)[0], descent),
-        (_centralized_rates(x, ctx, THERMO, newton=True)[0],
+        (flow_rates("hnn", inst, None, THERMO, 1.0)(x, None)[0], descent),
+        (flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0],
          pt_inverse(ref_hess, THERMO.floor) @ descent),
     ]
     for got, ref in pairs:
@@ -130,10 +131,9 @@ def test_hnn_matches_binnn_c_when_hessian_is_identity():
                     passive=[0.0, 0.0, 0.0], output=[0.0, 0.0, 0.0],
                     penalty=1.0, target=0.0)
     thermo = Thermo(temp=1.0, time_const=1.0, floor=1.0)
-    ctx = centralized_ctx(inst)
     state = FlowState(x=np.full(3, 0.5), y=None, t=0.0)
-    a = step_binnn_c(state, inst, ctx, thermo, h=1e-2)
-    b = step_hnn(state, inst, ctx, thermo, h=1e-2)
+    a = euler_step("binnn-c", state, inst, thermo, h=1e-2)
+    b = euler_step("hnn", state, inst, thermo, h=1e-2)
     assert np.max(np.abs(a.x - b.x)) <= 1e-14
 
 
@@ -142,25 +142,23 @@ def test_hnn_and_binnn_c_share_signs_for_diagonal_pd_hessian():
                     passive=[0.0, 0.0], output=[0.0, 0.0],
                     penalty=1.0, target=0.0)
     thermo = Thermo(temp=1.0, time_const=1.0, floor=0.5)
-    ctx = centralized_ctx(inst)
     rng = np.random.default_rng(7)
     for _ in range(10):
         state = FlowState(x=rng.uniform(0.1, 0.9, 2), y=None, t=0.0)
-        a = step_binnn_c(state, inst, ctx, thermo, h=1e-4)
-        b = step_hnn(state, inst, ctx, thermo, h=1e-4)
+        a = euler_step("binnn-c", state, inst, thermo, h=1e-4)
+        b = euler_step("hnn", state, inst, thermo, h=1e-4)
         assert np.all(np.sign(a.x - state.x) == np.sign(b.x - state.x))
 
 
 def test_hnn_energy_decreases_over_small_step():
     inst = small_instance(6, seed=11)
-    ctx = centralized_ctx(inst)
     rng = np.random.default_rng(12)
     for _ in range(10):
         x = rng.uniform(0.1, 0.9, 6)
         if np.max(np.abs(grad(inst, THERMO, x))) < 1e-6:
             continue  # already critical, nothing to descend
         state = FlowState(x=x, y=None, t=0.0)
-        nxt = step_hnn(state, inst, ctx, THERMO, h=1e-4)
+        nxt = euler_step("hnn", state, inst, THERMO, h=1e-4)
         assert energy(inst, THERMO, nxt.x) < energy(inst, THERMO, x)
 
 
@@ -172,7 +170,7 @@ def test_binnn_d_ydot_zero_at_y_star():
     ys = y_star(graph, inst.output, x)
     state = FlowState(x=np.clip(x, 0.05, 0.95), y=ys, t=0.0)
     h = 1.0
-    nxt = step_binnn_d(state, inst, graph, THERMO, alpha=1.0, h=h)
+    nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
     assert np.max(np.abs(nxt.y - ys)) / h <= 1e-12
 
 
@@ -180,7 +178,7 @@ def test_binnn_d_conserves_y_sum_per_step():
     inst = small_instance(6, seed=5)
     graph = named_topology("random", 6, seed=1)
     state = interior_state(6, 8, with_y=True)
-    nxt = step_binnn_d(state, inst, graph, THERMO, alpha=1.0, h=1e-2)
+    nxt = euler_step("binnn-d", state, inst, THERMO, h=1e-2, graph=graph)
     drift = abs(float(nxt.y.sum()) - float(state.y.sum()))
     assert drift <= 1e-12 * max(np.abs(state.y).sum(), 1.0)
 
@@ -200,7 +198,7 @@ def test_binnn_d_matches_independent_assembly():
     h = 1e-3
     for seed in range(5):
         state = interior_state(7, 20 + seed, with_y=True)
-        nxt = step_binnn_d(state, inst, graph, THERMO, alpha=1.0, h=h)
+        nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
         got_x = (nxt.x - state.x) / h
         got_y = (nxt.y - state.y) / h
         hd = hessian_x_tilde(inst, graph, THERMO, state.x)
@@ -214,32 +212,35 @@ def test_binnn_d_matches_independent_assembly():
 
 
 def test_agent_rates_match_vectorized_and_stay_local():
-    inst = small_instance(7, seed=14)
-    graph = named_topology("path", 7)
-    state = interior_state(7, 15, with_y=True)
-    h = 1e-3
-    nxt = step_binnn_d(state, inst, graph, THERMO, alpha=1.0, h=h)
-    for i in range(7):
-        xd, yd = agent_rates(state, inst, graph, THERMO, 1.0, i)
-        assert xd == pytest.approx((nxt.x[i] - state.x[i]) / h, rel=1e-9, abs=1e-12)
-        assert yd == pytest.approx((nxt.y[i] - state.y[i]) / h, rel=1e-9, abs=1e-12)
-    # perturbing data outside the one-hop (x) / two-hop (y) sets changes nothing
-    i = 0
-    base = agent_rates(state, inst, graph, THERMO, 1.0, i)
-    far = 5  # beyond two hops from node 0 on the path
-    x2 = state.x.copy()
-    y2 = state.y.copy()
-    x2[far] += 0.1
-    y2[far] -= 3.0
-    moved = FlowState(x=x2, y=y2, t=0.0)
-    assert agent_rates(moved, inst, graph, THERMO, 1.0, i) == base
-    # x_i's update may read one-hop y but not two-hop-only y
-    two_hop_only = 2  # neighbor of neighbor of node 0
-    y3 = state.y.copy()
-    y3[two_hop_only] += 1.0
-    xd3, _ = agent_rates(FlowState(x=state.x, y=y3, t=0.0), inst, graph,
-                         THERMO, 1.0, i)
-    assert xd3 == base[0]
+    # path-7 keeps a dense Laplacian; ring-64 (128 arcs, 1/32 fill) uses edge lists
+    for n, topology, sparse in ((7, "path", False), (64, "ring", True)):
+        inst = small_instance(n, seed=14)
+        graph = named_topology(topology, n)
+        assert (graph.arcs is not None) == sparse
+        state = interior_state(n, 15, with_y=True)
+        h = 1e-3
+        nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
+        for i in range(n):
+            xd, yd = agent_rates(state, inst, graph, THERMO, 1.0, i)
+            assert xd == pytest.approx((nxt.x[i] - state.x[i]) / h, rel=1e-9, abs=1e-12)
+            assert yd == pytest.approx((nxt.y[i] - state.y[i]) / h, rel=1e-9, abs=1e-12)
+        # perturbing data outside the one-hop (x) / two-hop (y) sets changes nothing
+        i = 0
+        base = agent_rates(state, inst, graph, THERMO, 1.0, i)
+        far = 5  # beyond two hops from node 0 on the path and the ring
+        x2 = state.x.copy()
+        y2 = state.y.copy()
+        x2[far] += 0.1
+        y2[far] -= 3.0
+        moved = FlowState(x=x2, y=y2, t=0.0)
+        assert agent_rates(moved, inst, graph, THERMO, 1.0, i) == base
+        # x_i's update may read one-hop y but not two-hop-only y
+        two_hop_only = 2  # neighbor of neighbor of node 0
+        y3 = state.y.copy()
+        y3[two_hop_only] += 1.0
+        xd3, _ = agent_rates(FlowState(x=state.x, y=y3, t=0.0), inst, graph,
+                             THERMO, 1.0, i)
+        assert xd3 == base[0]
 
 
 def test_run_favorable_single_agent_goes_on():

@@ -6,7 +6,6 @@ from binalloc.errors import ConnectivityError, InvalidGraphError
 from binalloc.graphs import (
     build_graph,
     is_connected,
-    laplacian,
     named_topology,
     pseudo_inverse,
     random_connected_graph,
@@ -15,23 +14,23 @@ from binalloc.graphs import (
 
 
 def test_laplacian_path3():
-    lap = laplacian(3, [(0, 1), (1, 2)])
+    lap = build_graph(3, [(0, 1), (1, 2)]).laplacian
     assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_laplacian_complete2():
-    assert np.array_equal(laplacian(2, [(0, 1)]), [[1, -1], [-1, 1]])
+    assert np.array_equal(build_graph(2, [(0, 1)]).laplacian, [[1, -1], [-1, 1]])
 
 
 def test_laplacian_empty():
-    assert np.array_equal(laplacian(3, []), np.zeros((3, 3)))
+    assert np.array_equal(build_graph(3, []).laplacian, np.zeros((3, 3)))
 
 
 def test_laplacian_rejects_self_loop_and_range():
     with pytest.raises(InvalidGraphError):
-        laplacian(3, [(1, 1)])
+        build_graph(3, [(1, 1)])
     with pytest.raises(InvalidGraphError):
-        laplacian(3, [(0, 3)])
+        build_graph(3, [(0, 3)])
 
 
 def test_laplacian_zero_row_sums_exact():
@@ -105,6 +104,9 @@ def test_random_connected_graph_basics():
         assert len(g.edges) == 8  # spanning tree
     g = random_connected_graph(6, 1.0, seed=3)
     assert len(g.edges) == 15
+    g = random_connected_graph(2000, 0.0, seed=0)
+    assert is_connected(g)
+    assert len(g.edges) == 1999
 
 
 def test_random_connected_graph_deterministic():
@@ -129,11 +131,6 @@ def test_two_hop_sets():
     assert g.two_hop(1) == [0, 2, 3]
 
 
-def _tree(n, seed):
-    rng = np.random.default_rng(seed)
-    return build_graph(n, [(i, int(rng.integers(0, i))) for i in range(1, n)])
-
-
 # complete and random graphs at n=2000 have ~2M pairs: too slow to build in a unit test
 @pytest.mark.parametrize(
     "n, topology",
@@ -141,7 +138,10 @@ def _tree(n, seed):
     + [(2000, t) for t in ("ring", "path", "tree")],
 )
 def test_apply_laplacian_equals_dense_product_on_both_sides(n, topology, monkeypatch):
-    g = _tree(n, seed=n) if topology == "tree" else named_topology(topology, n, seed=n)
+    if topology == "tree":
+        g = random_connected_graph(n, 0.0, seed=n)
+    else:
+        g = named_topology(topology, n, seed=n)
     rng = np.random.default_rng(n)
     # integer entries make every sum exact, so any summation order gives the same bits
     v = rng.integers(-1000, 1000, n).astype(float)
@@ -160,6 +160,9 @@ def test_apply_laplacian_equals_dense_product_on_both_sides(n, topology, monkeyp
 
 
 def test_build_graph_uses_edge_lists_only_on_sparse_graphs():
-    assert named_topology("ring", 2000).arcs is not None
+    ring = named_topology("ring", 2000)
+    assert ring.arcs is not None
+    ring.apply_laplacian(np.ones(2000))
+    assert "laplacian" not in vars(ring)  # no n x n matrix until an oracle reads it
     assert named_topology("ring", 20).arcs is None
     assert random_connected_graph(400, 0.2, seed=0).arcs is None

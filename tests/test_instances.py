@@ -14,6 +14,7 @@ from binalloc import (
 from binalloc.errors import (
     ConnectivityError,
     InvalidCoefficientError,
+    InvalidGraphError,
     ShapeError,
 )
 from binalloc.graphs import build_graph
@@ -202,6 +203,13 @@ def test_json_rejects_disconnected_edges():
     }
     with pytest.raises(ConnectivityError):
         from_json_dict(doc)
+
+
+def test_json_rejects_self_loop_and_out_of_range_edges():
+    base = {"n": 3, "p": [1.0, 1.0, 1.0], "c": [1.0, 1.0, 1.0]}
+    for edges in ([[0, 1], [1, 2], [2, 2]], [[0, 1], [1, 2], [2, 3]], [[-1, 0], [0, 1], [1, 2]]):
+        with pytest.raises(InvalidGraphError):
+            from_json_dict({**base, "edges": edges})
 
 
 def test_to_json_dict_schema(two_agent):
