@@ -17,6 +17,8 @@ from .instances import eval_p1, eval_p2
 
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
+_EPS = np.finfo(float).eps
+_SECULAR_MAX_ITER = 100  # the rational steps take about five; a cap, not a budget
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,7 @@ class CentralizedEnergyCtx:
     output: np.ndarray
     penalty_output: np.ndarray  # penalty * output
     bias: np.ndarray  # quad*center + penalty*target*output
+    weight: np.ndarray  # sqrt(penalty) * output: H = diag(quad + barrier) + weight weight^T
 
     def grad(self, x, ratio):
         coupled = self.quad * x + self.penalty_output * (self.output @ x)
@@ -85,11 +88,20 @@ class CentralizedEnergyCtx:
         hess.flat[:: hess.shape[0] + 1] = self.coupling_diag + barrier_curvature
         return hess
 
+    def pt_solve(self, barrier_curvature, v, floor):
+        """PT-inverse Hessian applied to v, in O(n^2) by the secular equation."""
+        return pt_inverse_rank_one(self.quad + barrier_curvature, self.weight, v, floor)
+
+    def min_hessian_eig(self, barrier_curvature):
+        return min_eig_rank_one(self.quad + barrier_curvature, self.weight)
+
 
 def centralized_ctx(instance):
     p, penalty_p = instance.output, instance.penalty * instance.output
     bias = instance.quad * instance.center + instance.penalty * instance.target * p
-    return CentralizedEnergyCtx(instance.quad, instance.quad + penalty_p * p, p, penalty_p, bias)
+    weight = np.sqrt(instance.penalty) * p
+    coupling_diag = instance.quad + penalty_p * p
+    return CentralizedEnergyCtx(instance.quad, coupling_diag, p, penalty_p, bias, weight)
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,13 @@ def hessian(instance, thermo, x, ctx=None):
     return ctx.hessian(thermo.temp / thermo.time_const / (x - x**2))
 
 
+def min_hessian_eig(instance, thermo, x):
+    """Smallest eigenvalue of ``hessian(instance, thermo, x)``, without forming it."""
+    x = _interior(x, instance.n)
+    ratio = thermo.temp / thermo.time_const
+    return centralized_ctx(instance).min_hessian_eig(ratio / (x - x**2))
+
+
 def energy_tilde(instance, graph, thermo, x, y):
     x = np.asarray(x, dtype=float)
     barrier = np.sum(barrier_integral(x, thermo.temp)) / thermo.time_const
@@ -157,7 +176,7 @@ def grad_y_tilde(instance, graph, thermo, x, y):
     )
 
 
-def hessian_x_tilde(instance, graph, thermo, x):
+def hessian_x_tilde(instance, thermo, x):
     """Diagonal of the distributed Hessian in x (the full matrix is diagonal)."""
     x = _interior(x, instance.n)
     return distributed_ctx(instance).hessian_diag(thermo.temp / thermo.time_const / (x - x**2))
@@ -180,6 +199,174 @@ def pt_inverse(mat, floor):
     eigvals, eigvecs = np.linalg.eigh(sym)
     truncated = np.maximum(np.abs(eigvals), floor)
     return (eigvecs / truncated) @ eigvecs.T
+
+
+def _deflate(diag, weight):
+    """Sort diag(diag) + weight weight^T and split off its deflated eigenpairs.
+
+    Poles equal within 8 eps ||H|| form a group g, whose coordinates hold
+    weight r_g = ||weight_g||: the group's directions orthogonal to weight_g
+    are eigenvectors with eigenvalue pole_g. Groups with negligible r_g are
+    deflated whole. Returns ``(order, group, pole, r2, keep)``: the sorting
+    permutation, each sorted coordinate's group, each group's pole (its
+    smallest diag) and r_g^2, and which groups enter the secular equation.
+    """
+    order = np.argsort(diag, kind="stable")
+    ds, w2 = diag[order], weight[order] ** 2
+    norm2 = w2.sum()
+    tol = 8.0 * _EPS * max(np.abs(ds).max(), norm2)
+    new = np.concatenate(([True], np.diff(ds) > tol))
+    group = np.cumsum(new) - 1
+    r2 = np.bincount(group, w2)
+    return order, group, ds[new], r2, r2 * norm2 > tol * tol
+
+
+def _two_pole_root(c, a1, a2, q, s, lo, hi):
+    """Root in [lo, hi] of c + q/(a1 - t) + s/(a2 - t) = 0, or NaN where there is none.
+
+    One of a1, a2 is 0 (the origin pole), so the quadratic
+    c t^2 - (c (a1 + a2) + q + s) t + q a2 + s a1 = 0 has no cancelling
+    constant term; its roots are taken in the stable form Q/c and C/Q.
+    """
+    b = c * (a1 + a2) + q + s
+    const = q * a2 + s * a1
+    disc = np.sqrt(np.maximum(b * b - 4.0 * c * const, 0.0))
+    big = 0.5 * (b + np.copysign(disc, b))
+    r1 = np.divide(big, c, out=np.full_like(c, np.nan), where=c != 0.0)
+    r2 = np.divide(const, big, out=np.full_like(c, np.nan), where=big != 0.0)
+    ok1 = (lo <= r1) & (r1 <= hi) & (r1 != 0.0)  # t = 0 is the origin pole
+    ok2 = (lo <= r2) & (r2 <= hi) & (r2 != 0.0)
+    return np.where(ok1, r1, np.where(ok2, r2, np.nan))
+
+
+def _secular_roots(pole, z2, roots):
+    """Roots of 1 + sum(z2 / (pole - lam)) = 0 with the given indices.
+
+    ``pole`` ascends strictly and ``z2`` > 0. Root k lies in
+    (pole[k], pole[k+1]), the last one in (pole[-1], pole[-1] + sum(z2)).
+    Each root is held as its nearer pole ``origin`` plus an offset ``tau``,
+    so differences to nearby poles keep full relative accuracy. Starts from
+    a two-pole guess at the midpoint of each interval (as LAPACK dlaed4),
+    then takes safeguarded two-pole rational steps (Bunch, Nielsen and
+    Sorensen), bisecting the bracket when a step leaves it. Returns
+    ``(origin, tau, dlt)`` with ``dlt[k, j] = pole[j] - lam_k``.
+    """
+    m = pole.size
+    last = roots == m - 1
+    right = np.minimum(roots + 1, m - 1)
+    gap = np.where(last, z2.sum(), pole[right] - pole[roots])
+    half = 0.5 * gap
+    work = pole - pole[roots][:, None]  # reused as the iteration's buffer
+    work -= half[:, None]
+    f_mid = 1.0 + np.reciprocal(work, out=work) @ z2
+    # f rises from -inf to +inf across the interval: its sign at the
+    # midpoint says which half holds the root and hence the nearer pole
+    from_left = (f_mid >= 0.0) | last
+    origin = np.where(from_left, roots, right)
+    rel = pole - pole[origin][:, None]
+    a1 = np.where(from_left, 0.0, -gap)  # the interval's poles, relative to the origin
+    a2 = np.where(last, 2.0 * gap, a1 + gap)  # past the bracket for the last root, where s is 0
+    t_mid = a1 + half
+    lo = np.where(from_left, np.where(f_mid >= 0.0, 0.0, half), t_mid)
+    hi = np.where(from_left, np.where(f_mid >= 0.0, half, gap), 0.0)
+    q = z2[roots]
+    s = np.where(last, 0.0, z2[right])
+    c = f_mid - q / (a1 - t_mid) - s / (a2 - t_mid)
+    tau = _two_pole_root(c, a1, a2, q, s, lo, hi)
+    tau = np.where(np.isnan(tau), 0.5 * (lo + hi), tau)
+    rest = np.empty_like(work)
+    ids, cur, t = np.arange(roots.size), rel, tau  # the roots still iterating
+    for _ in range(_SECULAR_MAX_ITER):
+        inv = np.subtract(cur, t[:, None], out=work[: ids.size])
+        np.reciprocal(inv, out=inv)  # 1 / (pole_j - lam_k): negative below the root
+        below = np.minimum(inv, 0.0, out=rest[: ids.size])
+        inv -= below
+        psi, phi = below @ z2, inv @ z2
+        below *= below
+        inv *= inv
+        dpsi, dphi = below @ z2, inv @ z2
+        f = 1.0 + psi + phi
+        err = _EPS * (8.0 * (phi - psi) + 2.0 + 3.0 * np.abs(t) * (dpsi + dphi))
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        done = (np.abs(f) <= err) | (hi - lo <= 2.0 * _EPS * np.abs(t))
+        da1, da2 = a1 - t, a2 - t
+        c = f - dpsi * da1 - dphi * da2
+        step = _two_pole_root(c, a1, a2, dpsi * da1 * da1, dphi * da2 * da2, lo, hi)
+        # near a root the rational steps shrink quadratically, so one this
+        # small lands on it; NaN (no rational step, bisect) keeps going
+        going = ~done & ~(np.abs(step - t) <= 1e-8 * np.abs(t))
+        step = np.where(np.isnan(step), 0.5 * (lo + hi), step)
+        t = np.where(done, t, step)
+        tau[ids] = t
+        if not going.all():
+            if not going.any():
+                break
+            ids, cur, t, lo, hi, a1, a2 = (
+                arr[going] for arr in (ids, cur, t, lo, hi, a1, a2)
+            )
+    rel -= tau[:, None]
+    return origin, tau, rel
+
+
+def pt_inverse_rank_one(diag, weight, v, floor):
+    """PT-inverse of diag(diag) + weight weight^T applied to v, in O(n^2).
+
+    Equals ``pt_inverse(np.diag(diag) + np.outer(weight, weight), floor) @ v``
+    without forming that matrix or calling ``eigh``. The eigenvalues are the
+    roots of the secular equation (Golub 1973); the eigenvectors are
+    proportional to (D - lam)^-1 z_hat, with z_hat recomputed from the roots
+    so that they stay orthogonal (Gu and Eisenstat 1995). A non-finite
+    diag gives NaN, as ``eigh`` does.
+    """
+    if floor <= 0:
+        raise ValueError(f"floor must be > 0, got {floor}")
+    if not np.isfinite(diag).all():
+        return np.full(v.shape, np.nan)
+    order, group, pole, r2, keep = _deflate(diag, weight)
+    ds, ws, vs = diag[order], weight[order], v[order]
+    out = vs / np.maximum(np.abs(ds), floor)  # the deflated part, then corrected
+    if keep.any():
+        pole_k, z2 = pole[keep], r2[keep]
+        z = np.sqrt(z2)
+        coef = np.bincount(group, ws * vs)[keep] / z  # v along each group's weight
+        m = pole_k.size
+        origin, tau, dlt = _secular_roots(pole_k, z2, np.arange(m))
+        lam = pole_k[origin] + tau
+        # z_hat_i^2 = prod_k (lam_k - d_i) / prod_{j != i} (d_j - d_i): root k
+        # pairs with d_k below i and with d_(k+1) from i up, so that each
+        # factor but the last root's lies in (0, 1]
+        den = pole_k[1:, None] - pole_k
+        np.subtract(den, np.diff(pole_k)[:, None], out=den, where=den <= 0.0)
+        zhat = np.sqrt(np.abs(np.prod(np.divide(dlt[:-1], den, out=den), axis=0)) * -dlt[-1])
+        inv = np.reciprocal(dlt, out=dlt)  # eigenvector k is proportional to zhat * inv[k]
+        scale = (inv * inv) @ (zhat * zhat) * np.maximum(np.abs(lam), floor)
+        y = zhat * (((inv @ (zhat * coef)) / scale) @ inv)
+        corr = np.zeros(pole.size)
+        corr[keep] = (y - coef / np.maximum(np.abs(pole_k), floor)) / z
+        out += ws * corr[group]
+    result = np.empty_like(out)
+    result[order] = out
+    return result
+
+
+def min_eig_rank_one(diag, weight):
+    """Smallest eigenvalue of diag(diag) + weight weight^T, in O(n log n).
+
+    It is the first secular root, in (d_(1), d_(2)), or the smallest
+    deflated pole, whichever is lower.
+    """
+    if not np.isfinite(diag).all():
+        return float("nan")
+    _, group, pole, r2, keep = _deflate(diag, weight)
+    sizes = np.bincount(group)
+    deflated = pole[~keep | (sizes > 1)]
+    lowest = deflated.min() if deflated.size else np.inf
+    if keep.any():
+        pole_k = pole[keep]
+        origin, tau, _ = _secular_roots(pole_k, r2[keep], np.zeros(1, dtype=int))
+        lowest = min(lowest, pole_k[origin[0]] + tau[0])
+    return float(lowest)
 
 
 def pt_inverse_scalar(h, floor):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, run
+from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc.dynamics import (
     FlowState,
     _advance,
@@ -125,6 +125,25 @@ def test_centralized_kernels_match_dense_assembly_at_n2000():
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_binnn_c_crossover_sides_agree(monkeypatch):
+    # the same small instance through the secular solve and through dense eigh
+    n = 12
+    inst = small_instance(n, seed=5)
+    x = interior_state(n, 5).x
+    assert n < dynamics._SECULAR_MIN_N
+    default = flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0]
+    sides = {}
+    for side, min_n in (("secular", 1), ("dense", n + 1)):
+        monkeypatch.setattr(dynamics, "_SECULAR_MIN_N", min_n)
+        sides[side] = flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0]
+    assert np.array_equal(default, sides["dense"])  # small n stays on dense eigh
+    descent = (x - x**2) / THERMO.temp * -grad(inst, THERMO, x)
+    ref = pt_inverse(hessian(inst, THERMO, x), THERMO.floor) @ descent
+    for got in sides.values():
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_hnn_matches_binnn_c_when_hessian_is_identity():
     # zero outputs decouple agents; a = -3 with T = tau = 1 puts H(0.5) = I
     inst = Instance(quad=[-3.0, -3.0, -3.0], center=[0.3, 0.5, 0.8],
@@ -201,7 +220,7 @@ def test_binnn_d_matches_independent_assembly():
         nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
         got_x = (nxt.x - state.x) / h
         got_y = (nxt.y - state.y) / h
-        hd = hessian_x_tilde(inst, graph, THERMO, state.x)
+        hd = hessian_x_tilde(inst, THERMO, state.x)
         gx = grad_x_tilde(inst, graph, THERMO, state.x, state.y)
         ref_x = pt_inverse_scalar(hd, THERMO.floor) * (
             (state.x - state.x**2) / THERMO.temp
@@ -357,6 +376,16 @@ def test_terminal_diagnostics_certificate():
         assert diag.local_min_certified
     stopped = run("binnn-c", inst, config=SolverConfig(thermo=THERMO, t_max=0.0))
     assert not terminal_diagnostics(stopped, inst).local_min_certified
+
+
+def test_terminal_diagnostics_min_eig_matches_eigvalsh(symmetric_instance):
+    saddle = symmetric_instance(n=10)
+    for inst, seed in ((saddle, 0), (saddle, 1), (small_instance(9, seed=2), 2)):
+        cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=3.0, seed=seed, sample_stride=0)
+        result = run("binnn-c", inst, config=cfg)
+        eigs = np.linalg.eigvalsh(hessian(inst, result.thermo_final, result.x_final))
+        got = terminal_diagnostics(result, inst).min_hessian_eig
+        assert abs(got - eigs.min()) <= 1e-12 * np.abs(eigs).max()
 
 
 def test_midpoint_integrator_descends():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from binalloc import Thermo
+from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal
 from binalloc.energy import (
     activation,
     activation_inv,
     barrier_integral,
+    centralized_ctx,
     energy,
     energy_tilde,
     grad,
@@ -13,12 +14,15 @@ from binalloc.energy import (
     grad_y_tilde,
     hessian,
     hessian_x_tilde,
+    min_eig_rank_one,
+    min_hessian_eig,
     pt_inverse,
+    pt_inverse_rank_one,
     pt_inverse_scalar,
 )
 from binalloc.errors import DomainError, ShapeError
 from binalloc.graphs import random_connected_graph
-from binalloc.instances import Instance
+from binalloc.instances import Instance, random_instance
 
 
 def _fd_grad(fun, x, h=1e-6):
@@ -177,12 +181,11 @@ def test_grad_y_sums_to_zero(bench_small):
 
 def test_tilde_hessian_is_diag_and_diverges(bench_small):
     inst = bench_small(n=4, seed=6)
-    graph = random_connected_graph(4, 0.5, seed=1)
     thermo = Thermo(1.0, 0.1, 0.1)
     prev = None
     for k in range(2, 9):
         x = np.full(4, 10.0**-k)
-        diag = hessian_x_tilde(inst, graph, thermo, x)
+        diag = hessian_x_tilde(inst, thermo, x)
         assert diag.shape == (4,)
         if prev is not None:
             assert np.all(diag > prev)
@@ -232,6 +235,164 @@ def test_pt_inverse_scalar_examples():
     assert pt_inverse_scalar(-4.0, 0.1) == pytest.approx(0.25)
     assert pt_inverse_scalar(0.01, 0.1) == pytest.approx(10.0)
     assert pt_inverse_scalar(0.0, 0.1) == pytest.approx(10.0)
+
+
+# The secular PT-inverse kernel against the dense reference: each case
+# compares ``pt_solve`` with ``pt_inverse(hessian(...)) @ v`` and must raise
+# no numpy warning (division by zero, invalid values) on the way.
+no_numpy_warnings = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _pt_solve_error(inst, thermo, x, seed=0):
+    """Max error of the secular solve against dense ``eigh``, relative to max |ref|."""
+    v = np.random.default_rng(seed).normal(size=inst.n)
+    curvature = thermo.temp / thermo.time_const / (x - x**2)
+    got = centralized_ctx(inst).pt_solve(curvature, v, thermo.floor)
+    ref = pt_inverse(hessian(inst, thermo, x), thermo.floor) @ v
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _spectrum(inst, thermo, x):
+    return np.linalg.eigvalsh(hessian(inst, thermo, x))
+
+
+@no_numpy_warnings
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pt_solve_tiny_sizes(bench_small, n):
+    inst = bench_small(n=n, seed=n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = rng.uniform(0.05, 0.95, n)
+        assert _pt_solve_error(inst, Thermo(1.0, 0.1, 0.1), x) <= 1e-12
+
+
+@no_numpy_warnings
+def test_pt_solve_all_outputs_zero():
+    # no rank-one part: every coordinate deflates and H is diagonal
+    inst = Instance(quad=[-3.0, 2.0, 0.05, -0.01], center=[0.5] * 4,
+                    passive=[0.0] * 4, output=[0.0] * 4, penalty=1.0, target=0.0)
+    x = np.array([0.5, 0.3, 0.9, 0.6])
+    assert _pt_solve_error(inst, Thermo(1.0, 1e3, 0.1), x) <= 1e-15
+
+
+@no_numpy_warnings
+def test_pt_solve_equal_poles_at_clip():
+    # random_instance gives every agent the same quad, so coordinates clipped
+    # to the same corner share a pole exactly
+    inst = random_instance(40, 3)
+    x = np.random.default_rng(3).uniform(0.1, 0.9, 40)
+    x[:12] = 1e-9
+    x[12:20] = 1.0 - 1e-9
+    x[20:23] = 0.5
+    assert np.unique(inst.quad).size == 1
+    # The clipped poles (about 1e10) set ||H||, and dense eigh's error scales
+    # with it: permuting the rows and columns of H moves the reference by
+    # 3e-10 relative here (measured), hence 1e-9 and not 1e-12
+    assert _pt_solve_error(inst, Thermo(1.0, 0.1, 0.1), x) <= 1e-9
+
+
+@no_numpy_warnings
+def test_pt_solve_saddle_escape_instance(symmetric_instance):
+    # p = 1 and one quad: x near 0.5 puts every pole close to every other,
+    # and x = 0.5 exactly makes them all equal
+    inst = symmetric_instance(n=10)
+    thermo = Thermo(1.0, 0.1, 0.1)
+    rng = np.random.default_rng(8)
+    for radius in (0.0, 1e-12, 1e-8, 1e-4, 0.05):
+        x = 0.5 + radius * rng.uniform(-1.0, 1.0, 10)
+        assert _pt_solve_error(inst, thermo, x) <= 1e-12
+
+
+@no_numpy_warnings
+def test_pt_solve_mixed_sign_poles(bench_small):
+    inst = bench_small(n=30, seed=2)
+    thermo = Thermo(1.0, 0.1, 0.1)
+    x = np.random.default_rng(2).uniform(0.1, 0.9, 30)
+    x[:10] = np.geomspace(1e-7, 1e-3, 10)  # barrier curvature up to 1e8 beats quad
+    poles = inst.quad + thermo.temp / thermo.time_const / (x - x**2)
+    assert poles.min() < 0.0 < poles.max()
+    assert _pt_solve_error(inst, thermo, x) <= 1e-12
+
+
+@no_numpy_warnings
+def test_pt_solve_truncates_small_eigenvalues():
+    # a = -4 T/tau puts the barrier's curvature at x = 0.5 exactly on the
+    # pole's zero: eigenvalues near 0 are floored, not inverted
+    n = 6
+    inst = Instance(quad=np.full(n, -4.0), center=np.full(n, 0.5),
+                    passive=np.zeros(n), output=np.linspace(0.01, 0.06, n),
+                    penalty=1.0, target=0.1)
+    thermo = Thermo(1.0, 1.0, 0.01)
+    x = 0.5 + np.linspace(-0.05, 0.05, n)
+    eigs = np.abs(_spectrum(inst, thermo, x))
+    assert eigs.min() < thermo.floor < eigs.max()
+    assert _pt_solve_error(inst, thermo, x) <= 1e-12
+
+
+@no_numpy_warnings
+def test_pt_solve_negative_definite_hessian():
+    n = 8
+    inst = Instance(quad=np.linspace(-60.0, -40.0, n), center=np.full(n, 0.5),
+                    passive=np.zeros(n), output=np.linspace(0.5, 1.5, n),
+                    penalty=2.0, target=3.0)
+    thermo = Thermo(1.0, 1.0, 0.1)
+    x = np.random.default_rng(5).uniform(0.3, 0.7, n)
+    assert _spectrum(inst, thermo, x).max() < 0.0
+    assert _pt_solve_error(inst, thermo, x) <= 1e-12
+
+
+@no_numpy_warnings
+def test_pt_solve_along_an_anneal_at_n200():
+    # Dense eigh is itself only good to a few 1e-9 on these states: solving
+    # the same Hessian with its rows and columns permuted moves its answer by
+    # up to 3.0e-9 relative (measured over three seeds); 1e-8 is three times that
+    inst = random_instance(200, 1000)
+    cfg = SolverConfig(thermo=Thermo(1.0, 0.1, 0.1), step=1e-2, seed=0, sample_stride=25,
+                       anneal=AnnealSchedule(beta=1.4, t_d=0.5, steps=10))
+    result = anneal("binnn-c", inst, config=cfg)
+    assert len(result.trajectory) > 20
+    for k, (t, x, _, _) in enumerate(result.trajectory):
+        rounds = min(int(t / 0.5), 9)  # about the knobs the state was reached with
+        thermo = Thermo(1.0, 0.1 * 1.4**rounds, 0.1)
+        assert _pt_solve_error(inst, thermo, x, seed=k) <= 1e-8
+
+
+@no_numpy_warnings
+def test_pt_inverse_rank_one_matches_dense_on_random_data():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 50):
+        diag = rng.normal(scale=10.0, size=n)
+        weight = rng.normal(size=n)
+        v = rng.normal(size=n)
+        ref = pt_inverse(np.diag(diag) + np.outer(weight, weight), 0.1) @ v
+        got = pt_inverse_rank_one(diag, weight, v, 0.1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rank_one_kernels_reject_bad_floor_and_give_nan_on_infinite_poles():
+    # a coordinate exactly at a corner has infinite barrier curvature; dense
+    # eigh returns NaN there, and so do the secular kernels
+    diag, weight = np.array([np.inf, 1.0, 2.0]), np.ones(3)
+    assert np.isnan(pt_inverse_rank_one(diag, weight, np.ones(3), 0.1)).all()
+    assert np.isnan(min_eig_rank_one(diag, weight))
+    with pytest.raises(ValueError):
+        pt_inverse_rank_one(np.ones(3), weight, np.ones(3), 0.0)
+
+
+@no_numpy_warnings
+def test_min_hessian_eig_matches_eigvalsh(bench_small, symmetric_instance):
+    thermo = Thermo(1.0, 0.1, 0.1)
+    rng = np.random.default_rng(21)
+    cases = [(bench_small(n=n, seed=n), rng.uniform(0.01, 0.99, n)) for n in (1, 2, 7, 60)]
+    saddle = symmetric_instance(n=10)
+    cases += [(saddle, 0.5 + r * rng.uniform(-1.0, 1.0, 10)) for r in (0.0, 1e-9, 0.05)]
+    clipped = rng.uniform(0.2, 0.8, 10)
+    clipped[:4] = 1e-9
+    cases.append((saddle, clipped))
+    for inst, x in cases:
+        eigs = _spectrum(inst, thermo, x)
+        scale = np.abs(eigs).max()
+        assert abs(min_hessian_eig(inst, thermo, x) - eigs.min()) <= 1e-12 * scale
 
 
 def test_thermo_validation():
