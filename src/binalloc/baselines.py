@@ -10,7 +10,7 @@ from .errors import SizeError
 from .instances import eval_p1
 
 BRUTE_FORCE_CAP = 24
-_CHUNK_BITS = 16  # enumerate corners in chunks of 2^16
+_CHUNK_BITS = 12  # score corners in chunks of 2^12, so time scales with 2^n
 
 
 @dataclass(frozen=True)
@@ -90,34 +90,40 @@ def round_relaxed(x_frac, instance):
     return _exact(instance, chosen)
 
 
-def brute_force(instance, cap=BRUTE_FORCE_CAP):
-    """Exhaustive minimum over all 2^n corners.
+def _subset_sums(values):
+    """Column ``code`` sums the columns of ``values`` whose bits are set in it
+    (the last column is the least significant bit); built by doubling."""
+    m = values.shape[1]
+    sums = np.zeros((len(values), 1 << m))
+    for j in range(m):
+        sums[:, 1 << j : 2 << j] = sums[:, : 1 << j] + values[:, m - 1 - j, None]
+    return sums
 
+
+def brute_force(instance, cap=BRUTE_FORCE_CAP):
+    """Exhaustive minimum over all 2^n corners in O(2^n) time.
+
+    Subset sums of a high and a low half of the agents (Horowitz & Sahni
+    1974) score each high-half prefix against the whole low half at once.
     Ties break toward the lexicographically smallest bit vector (bit 0 is
     the most significant position in the enumeration order).
     """
     n = instance.n
     if n > cap:
         raise SizeError(f"brute force refused: n={n} exceeds cap {cap}")
-    c = instance.incr_cost
-    p = instance.output
-    base = float(instance.passive.sum())
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)  # bit 0 of x <-> MSB of code
+    split = n - min(_CHUNK_BITS, n)
+    values = np.stack((instance.incr_cost, instance.output))
+    c_lo, p_lo = _subset_sums(values[:, split:])
+    c_hi, p_hi = _subset_sums(values[:, :split])
     best_cost = np.inf
     best_code = 0
-    chunk = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, 1 << n, chunk):
-        codes = np.arange(start, start + chunk, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts) & 1).astype(float)
-        costs = (
-            base
-            + bits @ c
-            + 0.5 * instance.penalty * (bits @ p - instance.target) ** 2
-        )
+    for prefix in range(len(c_hi)):
+        mismatch = p_lo + p_hi[prefix] - instance.target
+        costs = c_lo + c_hi[prefix] + 0.5 * instance.penalty * mismatch**2
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost = float(costs[k])
-            best_code = start + k
+            best_code = (prefix << (n - split)) + k
     chosen = tuple(i for i in range(n) if (best_code >> (n - 1 - i)) & 1)
     return _exact(instance, chosen)
 

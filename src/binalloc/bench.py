@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ class TrialRecord:
     wall_time: float
     iterations: int
     converged: bool
+    error: str = ""  # class name of the exception a failed solve raised
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ def _run_trial(config, trial, tss):
             cost, iterations, converged = solve_with_method(
                 method, instance, graph, config.solver, seed=parts[2 + k]
             )
-        except BinallocError:
-            cost, iterations, converged = float("inf"), 0, False
+            error = ""
+        except BinallocError as exc:
+            cost, iterations, converged, error = float("inf"), 0, False, type(exc).__name__
         wall = time.perf_counter() - start
         records.append(
             TrialRecord(
@@ -112,6 +114,7 @@ def _run_trial(config, trial, tss):
                 wall_time=wall,
                 iterations=iterations,
                 converged=converged,
+                error=error,
             )
         )
     return records
@@ -121,8 +124,8 @@ def run_campaign(config, jobs=1):
     """Run every method on the same seeded instances; one record per pair.
 
     A method failure is recorded as a non-converged trial with infinite cost
-    and the campaign continues. Fully reproducible for a given seed
-    (wall-time fields excepted); parallel trials merge in trial order.
+    and the exception's class name; the campaign continues. Reproducible for
+    a seed (wall times excepted); parallel trials merge in trial order.
     """
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     if jobs > 1:
@@ -184,25 +187,23 @@ def q_metric(records):
 
 
 def median_step_time(method, n, steps=50, seed=0, repeats=3, gamma=1.0, p_ref=None):
-    """Median per-step wall time of a flow at a given problem size."""
+    """Median per-step wall time of a flow at a given problem size, timing its
+    rates and advance directly (``run`` skips the steps of a frozen state)."""
     flow, _ = NN_METHODS[method]
     p_ref = 15.0 * n if p_ref is None else p_ref
     instance = random_instance(n, seed, p_ref=p_ref, gamma=gamma)
     graph = random_connected_graph(n, 0.2, seed)
-    cfg = dynamics.SolverConfig(
-        thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
-        step=1e-3,
-        t_max=steps * 1e-3,
-        tol_x=1e-30,
-        tol_y=1e-30,
-        sample_stride=0,
-        seed=seed,
-    )
-    g = graph if flow == "binnn-d" else None
+    thermo = Thermo(temp=1.0, time_const=0.1, floor=0.1)
+    mode = "distributed" if flow == "binnn-d" else "centralized"
     times = []
     for _ in range(repeats):
-        result = dynamics.run(flow, instance, g, cfg)
-        times.append(result.wall_time / max(result.iterations, 1))
+        state = dynamics.init_state(n, seed=seed, mode=mode)
+        start = time.perf_counter()
+        rates = dynamics.flow_rates(flow, instance, graph, thermo, alpha=1.0)
+        for _ in range(steps):
+            xdot, ydot, _ = rates(state.x, state.y)
+            state = dynamics._advance(state, xdot, ydot, 1e-3, 1e-9)
+        times.append((time.perf_counter() - start) / steps)
     return float(np.median(times))
 
 
@@ -249,13 +250,12 @@ def _fmt(value):
 
 
 def write_campaign_csv(records, path):
+    names = [f.name for f in fields(TrialRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial", "method", "cost", "wall_time", "iterations", "converged"])
+        writer.writerow(names)
         for r in records:
-            writer.writerow(
-                [r.trial, r.method, _fmt(r.cost), _fmt(r.wall_time), r.iterations, r.converged]
-            )
+            writer.writerow([_fmt(getattr(r, name)) for name in names])
 
 
 def write_q_csv(scores, path):

@@ -50,3 +50,24 @@ def symmetric_instance():
         )
 
     return make
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """Counts every evaluation of a flow's rates that goes through dynamics."""
+    from binalloc import dynamics
+
+    calls = [0]
+    build = dynamics.flow_rates
+
+    def counted(*args, **kwargs):
+        rates = build(*args, **kwargs)
+
+        def wrapped(x, y):
+            calls[0] += 1
+            return rates(x, y)
+
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "flow_rates", counted)
+    return calls

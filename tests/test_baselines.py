@@ -147,3 +147,59 @@ def test_brute_dominates_all_methods():
         assert greedy(inst).cost >= floor - 1e-9
         frac = rng.uniform(0, 1, 8)
         assert round_relaxed(frac, inst).cost >= floor - 1e-9
+
+
+def _all_corners_oracle(instance):
+    """First minimum over every corner, scored as one dense bit matrix."""
+    n = instance.n
+    codes = np.arange(1 << n)
+    bits = ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    costs = bits @ instance.incr_cost + 0.5 * instance.penalty * (
+        bits @ instance.output - instance.target) ** 2
+    return tuple(np.flatnonzero(bits[int(np.argmin(costs))]))
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_brute_force_matches_reversed_enumeration_past_one_chunk(n):
+    # above 2^12 corners the high half of the subset sums is non-empty
+    inst = random_instance(n, 70 + n, p_ref=20.0 * n)
+    assert brute_force(inst).cost == pytest.approx(brute_oracle(inst), abs=1e-9)
+
+
+def test_brute_force_matches_dense_enumeration_over_many_chunks():
+    for seed in range(3):
+        inst = random_instance(17, 90 + seed, p_ref=float(10 + 15 * seed) * 17)
+        assert brute_force(inst).chosen == _all_corners_oracle(inst)
+
+
+def _integer_instance(incr, output, target):
+    """Integer costs, outputs and target, so that equal sums tie exactly."""
+    incr = np.asarray(incr, dtype=float)
+    return Instance(quad=np.full(len(incr), -2.0), center=(incr + 1.0) / 2.0,
+                    passive=np.zeros(len(incr)), output=output, penalty=2.0,
+                    target=target)
+
+
+@pytest.mark.parametrize("n,tied,expected", [
+    (14, (0, 1), (1,)),         # chunks 2 and 1: the later prefix loses
+    (14, (0, 1, 12), (12,)),    # chunk 0 beats both high prefixes
+    (16, (0, 3, 7), (7,)),      # chunks 8, 1 and 0
+    (16, (2, 9, 13), (13,)),    # two ties inside chunk 0, the first one wins
+])
+def test_brute_force_lexicographic_ties_across_chunks(n, tied, expected):
+    # any one tied agent alone meets the target at incremental cost 1;
+    # every other agent costs 5 for an output of 1
+    incr = np.full(n, 5.0)
+    output = np.ones(n)
+    incr[list(tied)] = 1.0
+    output[list(tied)] = 3.0
+    sol = brute_force(_integer_instance(incr, output, 3.0))
+    assert sol.chosen == expected
+    assert sol.cost == 1.0
+
+
+def test_brute_force_size_cap_is_an_argument():
+    inst = random_instance(13, 0, p_ref=100.0)
+    with pytest.raises(SizeError):
+        brute_force(inst, cap=12)
+    assert brute_force(inst, cap=13).chosen == brute_force(inst).chosen

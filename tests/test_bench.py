@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, Thermo, baselines
+from binalloc import AnnealSchedule, SolverConfig, Thermo, baselines, dynamics
 from binalloc.bench import (
     NN_METHODS,
     CampaignConfig,
@@ -128,6 +128,24 @@ def test_campaign_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_campaign_keeps_the_cause_of_a_failure(tmp_path):
+    # so large an auxiliary gain makes the distributed flow diverge
+    config = CampaignConfig(n=8, trials=2, seed=0, methods=("binnn-d", "greedy"),
+                            solver=replace(FAST_SOLVER, alpha=1e3))
+    with np.errstate(all="ignore"):
+        records = run_campaign(config)
+    assert [(r.method, r.cost, r.converged, r.error) for r in records[:2]] == [
+        ("binnn-d", np.inf, False, "NumericFailureError"),
+        ("greedy", records[1].cost, True, ""),
+    ]
+    path = tmp_path / "campaign.csv"
+    write_campaign_csv(records, path)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["NumericFailureError", "", "NumericFailureError", ""]
+    assert rows[0]["cost"] == "inf"
+
+
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(trials=0)
@@ -161,6 +179,18 @@ def test_median_step_time_positive():
     assert t > 0.0
 
 
+def test_median_step_time_computes_every_step_it_counts(rate_calls):
+    # at these settings hnn freezes, and run() skips most of its 50 steps
+    cfg = SolverConfig(thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
+                       step=1e-3, t_max=50e-3, tol_x=1e-30, tol_y=1e-30,
+                       sample_stride=0, seed=0)
+    result = dynamics.run("hnn", random_instance(20, 0, p_ref=300.0), None, cfg)
+    assert result.iterations == 50 and rate_calls[0] < 50
+    rate_calls[0] = 0
+    median_step_time("hnn", 20, steps=50, seed=0, repeats=2)
+    assert rate_calls[0] == 100
+
+
 def test_runtime_sweep_shapes():
     assert runtime_sweep([], ("greedy",)) == []
     rows = runtime_sweep([6, 8], ("greedy", "brute"), per_n_trials=2, seed=1,
@@ -184,7 +214,7 @@ def test_csv_writers(tmp_path):
     with open(cpath) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "method", "cost", "wall_time", "iterations",
-                       "converged"]
+                       "converged", "error"]
     assert len(rows) == 5
 
     qpath = tmp_path / "q.csv"

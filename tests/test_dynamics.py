@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from binalloc.dynamics import (
 from binalloc.energy import (
     centralized_ctx,
     energy,
+    energy_tilde,
     grad,
     grad_x_tilde,
     grad_y_tilde,
@@ -25,7 +27,7 @@ from binalloc.energy import (
     pt_inverse_scalar,
 )
 from binalloc.errors import ConnectivityError, NumericFailureError
-from binalloc.graphs import build_graph, named_topology, y_star
+from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
@@ -439,3 +441,108 @@ def test_trajectory_csv_requires_samples(two_agent, tmp_path):
     result = run("binnn-c", two_agent, config=cfg)
     with pytest.raises(ValueError):
         write_trajectory_csv(result, tmp_path / "x.csv")
+
+
+def _step_by_step(flow, instance, graph, config):
+    """run()/anneal() as a plain loop that computes every step."""
+    state, thermo = dynamics._prepare(flow, instance, graph, config)
+    stride, sched = config.sample_stride, config.anneal
+    samples, round_ends, iterations = [], [], 0
+
+    def sample(s):
+        if stride > 0:
+            e = (energy(instance, thermo, s.x) if s.y is None
+                 else energy_tilde(instance, graph, thermo, s.x, s.y))
+            samples.append((s.t, s.x, s.y, e))
+
+    sample(state)
+    for _ in range(sched.steps if sched else 1):
+        t_limit = state.t + sched.t_d if sched else config.t_max
+        rates = flow_rates(flow, instance, graph, thermo, config.alpha)
+        steps = 0  # the sample stride counts the steps of a round
+        while state.t < t_limit - 1e-12:
+            xdot, ydot, g = rates(state.x, state.y)
+            y_rate = 0.0 if ydot is None else np.abs(ydot).max()
+            if (np.abs(xdot).max() < config.tol_x and y_rate < config.tol_y
+                    and np.abs(g).max() < 10.0 * config.tol_x):
+                break
+            if config.integrator == "midpoint":
+                mid = _advance(state, xdot, ydot, 0.5 * config.step, config.eps_clip)
+                xdot, ydot, _ = rates(mid.x, mid.y)
+            state = _advance(state, xdot, ydot, config.step, config.eps_clip)
+            steps += 1
+            if stride > 0 and steps % stride == 0:
+                sample(state)
+        iterations += steps
+        if sched:
+            round_ends.append(state.x)
+            thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
+    sample(state)
+    return state, iterations, samples, round_ends, thermo
+
+
+def _bytes(v):
+    return None if v is None else v.tobytes()
+
+
+def _assert_same_as_step_by_step(flow, instance, graph, config):
+    result = (anneal if config.anneal else run)(flow, instance, graph, config)
+    state, iterations, samples, round_ends, thermo = _step_by_step(
+        flow, instance, graph, config)
+    assert result.x_final.tobytes() == state.x.tobytes()
+    assert _bytes(result.y_final) == _bytes(state.y)
+    assert result.iterations == iterations
+    assert result.thermo_final == thermo
+    assert [x.tobytes() for x in result.round_ends] == [x.tobytes() for x in round_ends]
+    assert len(result.trajectory) == len(samples)
+    for (t, x, y, e), (t_ref, x_ref, y_ref, e_ref) in zip(result.trajectory, samples):
+        assert (t, x.tobytes(), _bytes(y), e) == (t_ref, x_ref.tobytes(), _bytes(y_ref), e_ref)
+    return result
+
+
+CAMPAIGN_SOLVER = SolverConfig(
+    thermo=THERMO, step=0.02, t_max=60.0, sample_stride=0, seed=4,
+    anneal=AnnealSchedule(beta=1.4, t_d=2.0, steps=10),
+)
+
+
+@pytest.mark.parametrize("stride", [0, 7])
+def test_frozen_hnn_run_is_fast_forwarded_exactly(rate_calls, stride):
+    # the campaign defaults: the first step clips every coordinate
+    inst = random_instance(20, 3, p_ref=1500.0)
+    cfg = replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=stride)
+    result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
+    assert result.iterations == 3000
+    assert rate_calls[0] == 16  # frozen after step 1, found at the first check
+
+
+@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls, integrator):
+    # so cold that a midpoint step, too, runs every coordinate into the clip
+    inst = random_instance(20, 5, p_ref=1500.0)
+    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10,
+                  integrator=integrator)
+    result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
+    assert len(result.trajectory) == 1 + result.iterations // 10 + 1
+    evaluations = rate_calls[0] // (2 if integrator == "midpoint" else 1)
+    assert evaluations < result.iterations  # it froze, and was fast-forwarded
+
+
+def test_fast_forward_needs_y_frozen_too():
+    # at a low temperature x clips to the cube while the consensus y still moves
+    inst = random_instance(8, 1, p_ref=600.0)
+    graph = random_connected_graph(8, 0.2, 1)
+    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(0.01, 0.1, 0.1), alpha=1e-3,
+                  t_max=5.0, sample_stride=1, anneal=None)
+    result = _assert_same_as_step_by_step("binnn-d", inst, graph, cfg)
+    pairs = list(zip(result.trajectory[1:-1], result.trajectory[2:-1]))
+    assert sum(a[1].tobytes() == b[1].tobytes() for a, b in pairs) > 200
+    assert all(a[2].tobytes() != b[2].tobytes() for a, b in pairs)
+
+
+def test_moving_binnn_c_is_computed_step_by_step(rate_calls):
+    inst = random_instance(10, 2, p_ref=300.0)
+    cfg = replace(CAMPAIGN_SOLVER, step=0.01, sample_stride=7,
+                  anneal=AnnealSchedule(beta=1.4, t_d=1.0, steps=3))
+    result = _assert_same_as_step_by_step("binnn-c", inst, None, cfg)
+    assert rate_calls[0] == result.iterations
