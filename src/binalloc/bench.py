@@ -104,7 +104,8 @@ def _run_trial(config, trial, tss):
             )
             error = ""
         except BinallocError as exc:
-            cost, iterations, converged, error = float("inf"), 0, False, type(exc).__name__
+            cost, converged, error = float("inf"), False, type(exc).__name__
+            iterations = getattr(exc, "iterations", 0)  # how far a diverged flow got
         wall = time.perf_counter() - start
         records.append(
             TrialRecord(

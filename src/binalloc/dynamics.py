@@ -24,9 +24,9 @@ from .instances import eval_p1, round_to_binary
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 # Size from which binnn-c applies its PT-inverse Hessian by the O(n^2) secular
 # solve instead of dense O(n^3) ``eigh``; below it numpy's per-call overhead
-# makes the secular solve the slower (per annealed step: 1.05 vs 0.87 ms at
-# n=84, 0.79 vs 0.94 ms at n=96).
-_SECULAR_MIN_N = 96
+# makes the secular solve the slower (per annealed step, secular vs dense, 2-vCPU
+# VM: 0.92 vs 0.55 ms at n=64, 1.10 vs 0.97 at 72, 1.00 vs 1.12 at 80, 1.30 vs 2.76 at 128).
+_SECULAR_MIN_N = 80
 _FREEZE_CHECK = 16  # steps between tests for a state that no longer moves
 
 
@@ -238,8 +238,9 @@ def _sample(samples, instance, graph, thermo, state, e=None):
     return e
 
 
-def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples):
-    """Advance until the flow stalls or the time limit is hit.
+def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, steps_before=0):
+    """Advance until the flow stalls or the time limit is hit (a failure also
+    counts ``steps_before``, an anneal's earlier rounds).
 
     Convergence requires both a small velocity and a small energy gradient,
     so terminal points certify as near-critical (the velocity alone can be
@@ -255,40 +256,41 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples):
     stride = config.sample_stride
     iterations = 0
     converged = False
-    while state.t < t_limit - 1e-12:
-        xdot, ydot, grad = rates(state.x, state.y)
-        x_rate = float(np.abs(xdot).max())
-        y_rate = 0.0 if ydot is None else float(np.abs(ydot).max())
-        if not (math.isfinite(x_rate) and math.isfinite(y_rate)):
-            raise NumericFailureError(
-                "non-finite flow rate", state=state, trajectory=samples
-            )
-        if (
-            x_rate < config.tol_x
-            and y_rate < config.tol_y
-            and float(np.abs(grad).max()) < 10.0 * config.tol_x
-        ):
-            converged = True
-            break
-        if config.integrator == "midpoint":
-            mid = _advance(state, xdot, ydot, 0.5 * h, config.eps_clip)
-            xdot, ydot, _ = rates(mid.x, mid.y)
-        prev, state = state, _advance(state, xdot, ydot, h, config.eps_clip)
-        iterations += 1
-        if stride > 0 and iterations % stride == 0:
-            _sample(samples, instance, graph, thermo, state)
-        if (
-            iterations % _FREEZE_CHECK == 0
-            and state.x.tobytes() == prev.x.tobytes()
-            and (state.y is None or state.y.tobytes() == prev.y.tobytes())
-        ):
-            t, e = state.t, None
-            while t < t_limit - 1e-12:
-                t += h
-                iterations += 1
-                if stride > 0 and iterations % stride == 0:
-                    e = _sample(samples, instance, graph, thermo, replace(state, t=t), e)
-            state = replace(state, t=t)
+    # a diverging run overflows on its way to the non-finite rate that raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while state.t < t_limit - 1e-12:
+            xdot, ydot, grad = rates(state.x, state.y)
+            x_rate = float(np.abs(xdot).max())
+            y_rate = 0.0 if ydot is None else float(np.abs(ydot).max())
+            if not (math.isfinite(x_rate) and math.isfinite(y_rate)):
+                raise NumericFailureError("non-finite flow rate", state=state, trajectory=samples,
+                                          iterations=steps_before + iterations)
+            if (
+                x_rate < config.tol_x
+                and y_rate < config.tol_y
+                and float(np.abs(grad).max()) < 10.0 * config.tol_x
+            ):
+                converged = True
+                break
+            if config.integrator == "midpoint":
+                mid = _advance(state, xdot, ydot, 0.5 * h, config.eps_clip)
+                xdot, ydot, _ = rates(mid.x, mid.y)
+            prev, state = state, _advance(state, xdot, ydot, h, config.eps_clip)
+            iterations += 1
+            if stride > 0 and iterations % stride == 0:
+                _sample(samples, instance, graph, thermo, state)
+            if (
+                iterations % _FREEZE_CHECK == 0
+                and state.x.tobytes() == prev.x.tobytes()
+                and (state.y is None or state.y.tobytes() == prev.y.tobytes())
+            ):
+                t, e = state.t, None
+                while t < t_limit - 1e-12:
+                    t += h
+                    iterations += 1
+                    if stride > 0 and iterations % stride == 0:
+                        e = _sample(samples, instance, graph, thermo, replace(state, t=t), e)
+                state = replace(state, t=t)
     return state, converged, iterations
 
 
@@ -369,7 +371,7 @@ def anneal(flow, instance, graph=None, config=None):
     start = time.perf_counter()
     for _ in range(sched.steps):
         state, converged, its = _integrate(
-            flow, instance, graph, state, thermo, config, state.t + sched.t_d, samples
+            flow, instance, graph, state, thermo, config, state.t + sched.t_d, samples, iterations
         )
         iterations += its
         round_ends.append(state.x.copy())

@@ -18,7 +18,8 @@ from .instances import eval_p1, eval_p2
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
 _EPS = np.finfo(float).eps
-_SECULAR_MAX_ITER = 100  # the rational steps take about five; a cap, not a budget
+_TINY = np.finfo(float).tiny
+_SECULAR_MAX_ITER = 100  # passes per solve: 5.8 on average, 9 at most at n=200; a cap, not a budget
 
 
 @dataclass(frozen=True)
@@ -221,25 +222,7 @@ def _deflate(diag, weight):
     return order, group, ds[new], r2, r2 * norm2 > tol * tol
 
 
-def _two_pole_root(c, a1, a2, q, s, lo, hi):
-    """Root in [lo, hi] of c + q/(a1 - t) + s/(a2 - t) = 0, or NaN where there is none.
-
-    One of a1, a2 is 0 (the origin pole), so the quadratic
-    c t^2 - (c (a1 + a2) + q + s) t + q a2 + s a1 = 0 has no cancelling
-    constant term; its roots are taken in the stable form Q/c and C/Q.
-    """
-    b = c * (a1 + a2) + q + s
-    const = q * a2 + s * a1
-    disc = np.sqrt(np.maximum(b * b - 4.0 * c * const, 0.0))
-    big = 0.5 * (b + np.copysign(disc, b))
-    r1 = np.divide(big, c, out=np.full_like(c, np.nan), where=c != 0.0)
-    r2 = np.divide(const, big, out=np.full_like(c, np.nan), where=big != 0.0)
-    ok1 = (lo <= r1) & (r1 <= hi) & (r1 != 0.0)  # t = 0 is the origin pole
-    ok2 = (lo <= r2) & (r2 <= hi) & (r2 != 0.0)
-    return np.where(ok1, r1, np.where(ok2, r2, np.nan))
-
-
-def _secular_roots(pole, z2, roots):
+def _secular_roots(pole, z2, roots, work):
     """Roots of 1 + sum(z2 / (pole - lam)) = 0 with the given indices.
 
     ``pole`` ascends strictly and ``z2`` > 0. Root k lies in
@@ -250,61 +233,73 @@ def _secular_roots(pole, z2, roots):
     then takes safeguarded two-pole rational steps (Bunch, Nielsen and
     Sorensen), bisecting the bracket when a step leaves it. Returns
     ``(origin, tau, dlt)`` with ``dlt[k, j] = pole[j] - lam_k``.
+
+    ``work``, of shape (3, roots.size, pole.size), holds every k x m array
+    (``dlt`` is ``work[0]``): fresh ones would cost a page fault per 4 KiB.
     """
-    m = pole.size
+    m, n = pole.size, roots.size
+    rel, flat = work[0], work[1:].reshape(-1)
     last = roots == m - 1
     right = np.minimum(roots + 1, m - 1)
     gap = np.where(last, z2.sum(), pole[right] - pole[roots])
-    half = 0.5 * gap
-    work = pole - pole[roots][:, None]  # reused as the iteration's buffer
-    work -= half[:, None]
-    f_mid = 1.0 + np.reciprocal(work, out=work) @ z2
+    lam_mid = pole[roots] + 0.5 * gap
+    mid = np.subtract(pole, lam_mid[:, None], out=work[1])
+    f = 1.0 + np.reciprocal(mid, out=mid) @ z2
     # f rises from -inf to +inf across the interval: its sign at the
     # midpoint says which half holds the root and hence the nearer pole
-    from_left = (f_mid >= 0.0) | last
+    from_left = (f >= 0.0) | last
     origin = np.where(from_left, roots, right)
-    rel = pole - pole[origin][:, None]
-    a1 = np.where(from_left, 0.0, -gap)  # the interval's poles, relative to the origin
-    a2 = np.where(last, 2.0 * gap, a1 + gap)  # past the bracket for the last root, where s is 0
-    t_mid = a1 + half
-    lo = np.where(from_left, np.where(f_mid >= 0.0, 0.0, half), t_mid)
-    hi = np.where(from_left, np.where(f_mid >= 0.0, half, gap), 0.0)
-    q = z2[roots]
-    s = np.where(last, 0.0, z2[right])
-    c = f_mid - q / (a1 - t_mid) - s / (a2 - t_mid)
-    tau = _two_pole_root(c, a1, a2, q, s, lo, hi)
-    tau = np.where(np.isnan(tau), 0.5 * (lo + hi), tau)
-    rest = np.empty_like(work)
-    ids, cur, t = np.arange(roots.size), rel, tau  # the roots still iterating
-    for _ in range(_SECULAR_MAX_ITER):
-        inv = np.subtract(cur, t[:, None], out=work[: ids.size])
-        np.reciprocal(inv, out=inv)  # 1 / (pole_j - lam_k): negative below the root
-        below = np.minimum(inv, 0.0, out=rest[: ids.size])
-        inv -= below
-        psi, phi = below @ z2, inv @ z2
-        below *= below
-        inv *= inv
-        dpsi, dphi = below @ z2, inv @ z2
-        f = 1.0 + psi + phi
-        err = _EPS * (8.0 * (phi - psi) + 2.0 + 3.0 * np.abs(t) * (dpsi + dphi))
-        lo = np.where(f < 0.0, t, lo)
-        hi = np.where(f > 0.0, t, hi)
-        done = (np.abs(f) <= err) | (hi - lo <= 2.0 * _EPS * np.abs(t))
-        da1, da2 = a1 - t, a2 - t
-        c = f - dpsi * da1 - dphi * da2
-        step = _two_pole_root(c, a1, a2, dpsi * da1 * da1, dphi * da2 * da2, lo, hi)
-        # near a root the rational steps shrink quadratically, so one this
-        # small lands on it; NaN (no rational step, bisect) keeps going
-        going = ~done & ~(np.abs(step - t) <= 1e-8 * np.abs(t))
-        step = np.where(np.isnan(step), 0.5 * (lo + hi), step)
-        t = np.where(done, t, step)
-        tau[ids] = t
-        if not going.all():
+    np.subtract(pole, pole[origin][:, None], out=rel)
+    # per root, as rows: the offset t, its bracket (+-the smallest float where it ends at
+    # the origin, a pole) and the interval's poles (for the last root, past its bracket)
+    state = np.empty((5, n))
+    t, lo, hi = state[:3]
+    t[:] = lam_mid - pole[origin]
+    lo[:] = _TINY  # right-origin roots have f < 0 here: the first bracket update moves it
+    hi[:] = np.where(from_left, gap, -_TINY)
+    state[3] = np.where(from_left, 0.0, -gap)
+    state[4] = np.where(from_left, np.where(last, gap + gap, gap), 0.0)
+    # the first step takes the rest of f as constant: the slopes at the
+    # midpoint are those of the interval's two poles alone
+    slope = np.stack([z2[roots], np.where(last, 0.0, z2[right])]) / np.square(state[3:] - t)
+    tau, ids = np.empty(n), np.arange(n)  # ids: the roots still iterating
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SECULAR_MAX_ITER):
+            np.copyto(lo, t, where=f < 0.0)
+            np.copyto(hi, t, where=f > 0.0)
+            # the middle-way model: each side's sum as a constant plus one pole at the
+            # interval's end, matched to its slope at t. With d0 < 0 < d1 the distances
+            # to those poles, the step u solves c u^2 - b u + f d0 d1 = 0; its root
+            # between the poles is taken in the form that does not cancel as f -> 0
+            dist = state[3:] - t
+            lumped = slope * dist
+            b = (dist * (f - lumped[::-1])).sum(0)
+            e = f * dist[0] * dist[1]
+            new = t + (e + e) / (b + np.sqrt(np.square(b) - 4.0 * (f - lumped.sum(0)) * e))
+            # rounding can put it outside the bracket, or make it NaN; a
+            # step under an ulp of t leaves it on a bracket end, inside
+            inside = (lo <= new) & (new <= hi)
+            np.copyto(new, 0.5 * (lo + hi), where=~inside)  # bisect
+            # near a root the rational steps shrink quadratically, so one this small
+            # lands on it; a bisection only once the bracket is a few ulps wide
+            going = np.abs(new / t - 1.0) > np.where(inside, 1e-8, _EPS)
+            t[:] = new
+            tau[ids] = t
             if not going.any():
                 break
-            ids, cur, t, lo, hi, a1, a2 = (
-                arr[going] for arr in (ids, cur, t, lo, hi, a1, a2)
-            )
+            if not going.all():
+                ids, state = ids[going], state[:, going]
+                t, lo, hi = state[:3]
+            sides = flat[: 2 * ids.size * m].reshape(2, -1, m)
+            below, above = sides
+            np.take(rel, ids, axis=0, out=above, mode="clip")
+            above -= t[:, None]
+            np.reciprocal(above, out=above)  # 1 / (pole_j - lam): negative below lam
+            f = 1.0 + above @ z2
+            np.minimum(above, 0.0, out=below)
+            above -= below
+            np.square(sides, out=sides)
+            slope = (sides.reshape(2 * ids.size, m) @ z2).reshape(2, -1)  # of each side's sum
     rel -= tau[:, None]
     return origin, tau, rel
 
@@ -330,17 +325,17 @@ def pt_inverse_rank_one(diag, weight, v, floor):
         pole_k, z2 = pole[keep], r2[keep]
         z = np.sqrt(z2)
         coef = np.bincount(group, ws * vs)[keep] / z  # v along each group's weight
-        m = pole_k.size
-        origin, tau, dlt = _secular_roots(pole_k, z2, np.arange(m))
+        work = np.empty((3, pole_k.size, pole_k.size))
+        origin, tau, dlt = _secular_roots(pole_k, z2, np.arange(pole_k.size), work)
         lam = pole_k[origin] + tau
         # z_hat_i^2 = prod_k (lam_k - d_i) / prod_{j != i} (d_j - d_i): root k
         # pairs with d_k below i and with d_(k+1) from i up, so that each
         # factor but the last root's lies in (0, 1]
-        den = pole_k[1:, None] - pole_k
+        den = np.subtract(pole_k[1:, None], pole_k, out=work[1, 1:])
         np.subtract(den, np.diff(pole_k)[:, None], out=den, where=den <= 0.0)
         zhat = np.sqrt(np.abs(np.prod(np.divide(dlt[:-1], den, out=den), axis=0)) * -dlt[-1])
         inv = np.reciprocal(dlt, out=dlt)  # eigenvector k is proportional to zhat * inv[k]
-        scale = (inv * inv) @ (zhat * zhat) * np.maximum(np.abs(lam), floor)
+        scale = np.square(inv, out=work[1]) @ np.square(zhat) * np.maximum(np.abs(lam), floor)
         y = zhat * (((inv @ (zhat * coef)) / scale) @ inv)
         corr = np.zeros(pole.size)
         corr[keep] = (y - coef / np.maximum(np.abs(pole_k), floor)) / z
@@ -364,7 +359,8 @@ def min_eig_rank_one(diag, weight):
     lowest = deflated.min() if deflated.size else np.inf
     if keep.any():
         pole_k = pole[keep]
-        origin, tau, _ = _secular_roots(pole_k, r2[keep], np.zeros(1, dtype=int))
+        origin, tau, _ = _secular_roots(pole_k, r2[keep], np.zeros(1, dtype=int),
+                                        np.empty((3, 1, pole_k.size)))
         lowest = min(lowest, pole_k[origin[0]] + tau[0])
     return float(lowest)
 

@@ -30,12 +30,13 @@ class SizeError(BinallocError, ValueError):
 
 
 class NumericFailureError(BinallocError, RuntimeError):
-    """A flow produced non-finite values; carries the last valid state."""
+    """A flow produced non-finite values; carries the last valid state and its step count."""
 
-    def __init__(self, message, state=None, trajectory=None):
+    def __init__(self, message, state=None, trajectory=None, iterations=0):
         super().__init__(message)
         self.state = state
         self.trajectory = trajectory
+        self.iterations = iterations
 
 
 class IncompleteCampaignError(BinallocError, ValueError):

@@ -138,6 +138,7 @@ def test_campaign_keeps_the_cause_of_a_failure(tmp_path):
         ("binnn-d", np.inf, False, "NumericFailureError"),
         ("greedy", records[1].cost, True, ""),
     ]
+    assert records[0].iterations > 0  # the steps it took before it failed
     path = tmp_path / "campaign.csv"
     write_campaign_csv(records, path)
     with open(path) as fh:

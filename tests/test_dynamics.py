@@ -399,14 +399,43 @@ def test_midpoint_integrator_descends():
     assert energies[-1] < energies[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_failure_carries_state():
+    # the overflow on the way is not also reported as a numpy warning
     inst = small_instance(4, seed=20)
     graph = named_topology("complete", 4)
     cfg = SolverConfig(thermo=THERMO, step=1.0, alpha=1e200, t_max=10.0,
                        seed=6, sample_stride=1)
-    with pytest.raises(NumericFailureError) as exc, np.errstate(over="ignore"):
+    with pytest.raises(NumericFailureError) as exc:
         run("binnn-d", inst, graph=graph, config=cfg)
     assert exc.value.state is not None
+
+
+def test_numeric_failure_counts_the_steps_before_it(monkeypatch):
+    # explicit Euler on the auxiliary flow is unstable at this gain: the
+    # run overflows in its sixth round of 40 steps
+    inst = small_instance(6, seed=20)
+    cfg = SolverConfig(thermo=THERMO, step=0.05, alpha=30.0, seed=6, sample_stride=0,
+                       anneal=AnnealSchedule(beta=1.4, t_d=2.0, steps=10))
+    evaluations = []
+    kernel = dynamics.flow_rates
+
+    def counted(*args):
+        rates = kernel(*args)
+
+        def count(x, y):
+            evaluations.append(None)
+            return rates(x, y)
+
+        return count
+
+    monkeypatch.setattr(dynamics, "flow_rates", counted)
+    with pytest.raises(NumericFailureError) as exc:
+        anneal("binnn-d", inst, graph=named_topology("ring", 6), config=cfg)
+    # each step evaluates the rates once; the last evaluation is the one
+    # that raised
+    assert exc.value.iterations == len(evaluations) - 1
+    assert exc.value.iterations > 5 * 40
 
 
 def test_cost_matches_rounded_bits(two_agent):

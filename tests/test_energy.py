@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal
 from binalloc.energy import (
+    _secular_roots,
     activation,
     activation_inv,
     barrier_integral,
@@ -367,6 +370,38 @@ def test_pt_inverse_rank_one_matches_dense_on_random_data():
         ref = pt_inverse(np.diag(diag) + np.outer(weight, weight), 0.1) @ v
         got = pt_inverse_rank_one(diag, weight, v, 0.1)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _secular_layouts():
+    """(poles, weights) with 4 to 11 poles in the layouts the flows produce."""
+    rng = np.random.default_rng(41)
+    for m in range(4, 12):
+        yield np.linspace(1.0, 2.0, m), rng.uniform(0.01, 1.0, m)
+        yield np.sort(rng.uniform(-50.0, 50.0, m)), rng.uniform(0.1, 10.0, m)
+        # coordinates clipped to a corner put their poles near 1e10
+        low = np.sort(rng.uniform(-5.0, 5.0, m // 2))
+        yield np.concatenate([low, 1e10 + np.sort(rng.uniform(0.0, 1e3, m - m // 2))]), \
+            rng.uniform(1.0, 100.0, m)
+        yield np.geomspace(1e-3, 1e6, m), rng.uniform(0.1, 1.0, m)
+        # weights far above the spread put the last root far past the poles
+        yield np.linspace(0.0, 1.0, m), rng.uniform(1e3, 1e4, m)
+
+
+def test_secular_roots_are_exact_to_64_ulps():
+    # f(lam) = 1 + sum(z2 / (pole - lam)) rises through each root, so in
+    # exact arithmetic it is negative 64 ulps of tau below the returned
+    # root and positive 64 ulps above it
+    def secular(pole, z2, lam):
+        return 1 + sum(Fraction(w) / (Fraction(p) - lam) for p, w in zip(pole, z2))
+
+    for pole, z2 in _secular_layouts():
+        m = pole.size
+        assert np.all(np.diff(pole) > 0.0)
+        origin, tau, _ = _secular_roots(pole, z2, np.arange(m), np.empty((3, m, m)))
+        for k in range(m):
+            lam = Fraction(pole[origin[k]]) + Fraction(tau[k])
+            ulps = 64 * Fraction(np.spacing(abs(tau[k])))
+            assert secular(pole, z2, lam - ulps) < 0 < secular(pole, z2, lam + ulps)
 
 
 def test_rank_one_kernels_reject_bad_floor_and_give_nan_on_infinite_poles():
