@@ -166,7 +166,7 @@ def _trial_points(costs):
 
 
 def q_metric(records):
-    """Per-method rank score in [0,1] over a campaign's trials."""
+    """Per-method rank score in [0,1] over a campaign's trials of two or more methods."""
     by_trial = {}
     methods = []
     for rec in records:
@@ -174,6 +174,8 @@ def q_metric(records):
         if rec.method not in methods:
             methods.append(rec.method)
     k = len(methods)
+    if k < 2:
+        raise ValueError(f"the Q metric needs at least two methods, got {methods}")
     trials = len(by_trial)
     totals = dict.fromkeys(methods, 0.0)
     for trial, costs in by_trial.items():
@@ -187,12 +189,11 @@ def q_metric(records):
     return {m: totals[m] / norm for m in methods}
 
 
-def median_step_time(method, n, steps=50, seed=0, repeats=3, gamma=1.0, p_ref=None):
+def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing its
     rates and advance directly (``run`` skips the steps of a frozen state)."""
     flow, _ = NN_METHODS[method]
-    p_ref = 15.0 * n if p_ref is None else p_ref
-    instance = random_instance(n, seed, p_ref=p_ref, gamma=gamma)
+    instance = random_instance(n, seed, p_ref=15.0 * n)
     graph = random_connected_graph(n, 0.2, seed)
     thermo = Thermo(temp=1.0, time_const=0.1, floor=0.1)
     mode = "distributed" if flow == "binnn-d" else "centralized"
@@ -209,40 +210,22 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3, gamma=1.0, p_ref=No
 
 
 def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, solver=None):
-    """Median solve wall time per method per size; brute force skips large n."""
-    solver = solver or dynamics.SolverConfig(
-        thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
-        step=0.02,
-        t_max=20.0,
-        sample_stride=0,
-        anneal=dynamics.AnnealSchedule(beta=1.4, t_d=2.0, steps=10),
-    )
+    """Median wall time of each method's error-free solves per size, from one
+    campaign per size; brute force skips sizes above its cap."""
+    solver = solver or replace(CampaignConfig().solver, t_max=20.0)
     rows = []
     for n in n_grid:
-        seeds = np.random.SeedSequence([seed, n]).spawn(per_n_trials)
-        for method in methods:
-            if method == "brute" and n > baselines.BRUTE_FORCE_CAP:
-                continue
-            times = []
-            for tss in seeds:
-                parts = tss.spawn(3)
-                instance = random_instance(n, parts[0], p_ref=15.0 * n)
-                graph = random_connected_graph(n, 0.2, parts[1])
-                start = time.perf_counter()
-                try:
-                    solve_with_method(method, instance, graph, solver, seed=parts[2])
-                except BinallocError:
-                    continue
-                times.append(time.perf_counter() - start)
+        sized = tuple(m for m in methods if m != "brute" or n <= baselines.BRUTE_FORCE_CAP)
+        if not sized:
+            continue
+        config = CampaignConfig(n=n, trials=per_n_trials, seed=[seed, n], methods=sized,
+                                p_ref=15.0 * n, solver=solver)
+        records = run_campaign(config)
+        for method in sized:
+            times = [r.wall_time for r in records if r.method == method and not r.error]
             if times:
-                rows.append(
-                    {
-                        "n": n,
-                        "method": method,
-                        "median_seconds": float(np.median(times)),
-                        "trials": len(times),
-                    }
-                )
+                rows.append({"n": n, "method": method,
+                             "median_seconds": float(np.median(times)), "trials": len(times)})
     return rows
 
 

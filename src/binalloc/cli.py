@@ -125,14 +125,11 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    methods = tuple(args.methods.split(",")) if args.methods else bench.DEFAULT_METHODS
-    if args.with_brute and "brute" not in methods:
-        methods = methods + ("brute",)
     config = bench.CampaignConfig(
         n=args.n,
         trials=args.trials,
         seed=args.seed,
-        methods=methods,
+        methods=args.methods,
         p_ref=args.p_ref,
         gamma=args.gamma,
     )
@@ -220,6 +217,12 @@ def main(argv=None):
         parser.error("--n must be >= 1")
     if args.command == "solve" and args.method == "round" and not args.frac_point:
         parser.error("--method round requires --frac-point")
+    if args.command == "bench":  # resolved before anything runs: Q needs two methods
+        args.methods = tuple(args.methods.split(",")) if args.methods else bench.DEFAULT_METHODS
+        if args.with_brute and "brute" not in args.methods:
+            args.methods += ("brute",)
+        if len(set(args.methods)) < 2:
+            parser.error("a campaign ranks methods against each other: give at least two")
     try:
         return args.func(args)
     except (BinallocError, OSError, ValueError) as exc:

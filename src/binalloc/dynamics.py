@@ -4,7 +4,7 @@ Three flows are provided: a Newton-like centralized flow that premultiplies
 the classic Hopfield direction by a truncated-inverse Hessian ("binnn-c"),
 the classic gradient-like Hopfield flow ("hnn"), and a distributed flow
 over a communication graph with an auxiliary consensus variable ("binnn-d").
-All are integrated with fixed-step explicit Euler (optionally midpoint).
+All are integrated with fixed-step explicit Euler.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from .graphs import is_connected
 from .instances import eval_p1, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
-# Size from which binnn-c applies its PT-inverse Hessian by the O(n^2) secular
-# solve instead of dense O(n^3) ``eigh``; below it numpy's per-call overhead
-# makes the secular solve the slower (per annealed step, secular vs dense, 2-vCPU
-# VM: 0.92 vs 0.55 ms at n=64, 1.10 vs 0.97 at 72, 1.00 vs 1.12 at 80, 1.30 vs 2.76 at 128).
-_SECULAR_MIN_N = 80
+_JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
 _FREEZE_CHECK = 16  # steps between tests for a state that no longer moves
 
 
@@ -74,9 +70,7 @@ class SolverConfig:
     t_max: float = 1000.0
     anneal: AnnealSchedule | None = None
     seed: int | None = None
-    jitter: float = 1e-3  # relative width of the multiplicative knob jitter; 0 disables
     sample_stride: int = 10  # trajectory sample every this many steps; 0 disables
-    integrator: str = "euler"  # or "midpoint"
 
     def __post_init__(self):
         if self.step <= 0:
@@ -85,8 +79,6 @@ class SolverConfig:
             raise ValueError("tolerances must be > 0")
         if not 0 < self.eps_init < 0.5:
             raise ValueError("eps_init must be in (0, 0.5)")
-        if self.integrator not in ("euler", "midpoint"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -153,21 +145,13 @@ def flow_rates(flow, instance, graph, thermo, alpha):
         return rates
     ctx = en.centralized_ctx(instance)
     newton = flow == "binnn-c"
-    secular = newton and instance.n >= _SECULAR_MIN_N
 
     def rates(x, y):
         gap = x - x * x
         grad = ctx.grad(x, ratio)
         xdot = gap * -grad / thermo.temp
-        if secular:
+        if newton:
             xdot = ctx.pt_solve(ratio / gap, xdot, thermo.floor)
-        elif newton:
-            # inline PT-inverse (Hessian is symmetric by construction) applied
-            # as two matvecs; cheaper than forming the full inverse
-            eigvals, eigvecs = np.linalg.eigh(ctx.hessian(ratio / gap))
-            np.abs(eigvals, out=eigvals)
-            np.maximum(eigvals, thermo.floor, out=eigvals)
-            xdot = eigvecs @ ((eigvecs.T @ xdot) / eigvals)
         return xdot, None, grad
 
     return rates
@@ -218,12 +202,10 @@ def agent_rates(state, instance, graph, thermo, alpha, agent):
     return float(xdot_i), float(ydot_i)
 
 
-def _jittered(thermo, width, rng):
-    if width <= 0:
-        return thermo
+def _jittered(thermo, rng):
     return en.Thermo(
-        temp=thermo.temp * rng.uniform(1.0 - width, 1.0 + width),
-        time_const=thermo.time_const * rng.uniform(1.0 - width, 1.0 + width),
+        temp=thermo.temp * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
+        time_const=thermo.time_const * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
         floor=thermo.floor,
     )
 
@@ -272,9 +254,6 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
             ):
                 converged = True
                 break
-            if config.integrator == "midpoint":
-                mid = _advance(state, xdot, ydot, 0.5 * h, config.eps_clip)
-                xdot, ydot, _ = rates(mid.x, mid.y)
             prev, state = state, _advance(state, xdot, ydot, h, config.eps_clip)
             iterations += 1
             if stride > 0 and iterations % stride == 0:
@@ -313,7 +292,7 @@ def _prepare(flow, instance, graph, config):
         seed=init_seed,
         mode="distributed" if flow == "binnn-d" else "centralized",
     )
-    thermo = _jittered(config.thermo, config.jitter, np.random.default_rng(jitter_seed))
+    thermo = _jittered(config.thermo, np.random.default_rng(jitter_seed))
     return state, thermo
 
 
@@ -390,20 +369,24 @@ def anneal(flow, instance, graph=None, config=None):
 def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=1e-6):
     """Gradient norm and Hessian spectrum at the terminal point.
 
-    Certifies a local minimum when the run converged with a small gradient
-    and a positive-definite Hessian of the relevant energy.
+    The gradients come from the rates kernel ("hnn" for a centralized
+    result). Certifies a local minimum when the run converged with a small
+    gradient and a positive-definite Hessian of the relevant energy.
     """
     thermo = thermo or result.thermo_final
-    x = result.x_final
-    if result.y_final is None:
-        g = en.grad(instance, thermo, x)
-        min_eig = en.min_hessian_eig(instance, thermo, x)
+    x, y = en._interior(result.x_final, instance.n), result.y_final
+    curvature = thermo.temp / thermo.time_const / (x - x**2)
+    if y is None:
+        _, _, g = flow_rates("hnn", instance, None, thermo, 1.0)(x, None)
+        min_eig = en.centralized_ctx(instance).min_hessian_eig(curvature)
         grad_y_inf = None
     else:
-        g = en.grad_x_tilde(instance, graph, thermo, x, result.y_final)
-        gy = en.grad_y_tilde(instance, graph, thermo, x, result.y_final)
-        grad_y_inf = float(np.max(np.abs(gy)))
-        min_eig = float(en.hessian_x_tilde(instance, thermo, x).min())
+        if graph is None:
+            raise ValueError("the distributed flow requires a graph")
+        # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
+        _, ydot, g = flow_rates("binnn-d", instance, graph, thermo, 1.0)(x, y)
+        grad_y_inf = float(np.max(np.abs(ydot)))
+        min_eig = float(en.distributed_ctx(instance).hessian_diag(curvature).min())
     grad_inf = float(np.max(np.abs(g)))
     certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
     return Diagnostics(

@@ -48,14 +48,6 @@ class Graph:
         rows, cols, degree = self.arcs
         return degree * v - np.bincount(rows, v[cols], self.n)
 
-    def two_hop(self, i):
-        """Nodes reachable from i in exactly one or two hops (excluding i)."""
-        reach = set(self.neighbors[i])
-        for j in self.neighbors[i]:
-            reach.update(self.neighbors[j])
-        reach.discard(i)
-        return sorted(reach)
-
 
 def build_graph(n, edges):
     """Validate and store an undirected edge list; duplicates and orientation are ignored."""

@@ -34,7 +34,6 @@ from binalloc.energy import (
     energy,
     energy_tilde,
     grad,
-    grad_x_tilde,
     grad_y_tilde,
     hessian,
     pt_inverse,
@@ -47,7 +46,7 @@ from binalloc.graphs import (
     y_star,
 )
 from binalloc.instances import default_quad, fit_coefficients, random_instance
-from binalloc.dynamics import terminal_diagnostics
+from binalloc.dynamics import flow_rates, terminal_diagnostics
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 
@@ -129,7 +128,7 @@ def test_criterion_2_gradients_match_finite_differences():
         for fun, gfun in (
             (lambda z: energy(inst, THERMO, z), lambda z: grad(inst, THERMO, z)),
             (lambda z: energy_tilde(inst, graph, THERMO, z, y),
-             lambda z: grad_x_tilde(inst, graph, THERMO, z, y)),
+             lambda z: flow_rates("binnn-d", inst, graph, THERMO, 1.0)(z, y)[2]),
         ):
             g = gfun(x)
             fd = np.array([

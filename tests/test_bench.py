@@ -102,6 +102,12 @@ def test_q_rejects_missing_method():
         q_metric(recs)
 
 
+def test_q_needs_two_methods():
+    for table in ({"a": [1.0, 2.0]}, {}):
+        with pytest.raises(ValueError, match="two methods"):
+            q_metric(records_from_table(table))
+
+
 def test_campaign_greedy_vs_brute():
     cfg = CampaignConfig(n=8, trials=1, seed=3, methods=("greedy", "brute"),
                          p_ref=120.0, solver=FAST_SOLVER)
@@ -200,6 +206,17 @@ def test_runtime_sweep_shapes():
     for row in rows:
         assert row["median_seconds"] >= 0.0
         assert row["trials"] == 2
+
+
+def test_runtime_sweep_times_the_campaign_and_drops_failures():
+    # so large an auxiliary gain makes the distributed flow diverge
+    solver = replace(FAST_SOLVER, alpha=1e3)
+    with np.errstate(all="ignore"):
+        rows = runtime_sweep([8], ("binnn-d", "greedy"), per_n_trials=3, seed=4, solver=solver)
+        records = run_campaign(CampaignConfig(n=8, trials=3, seed=[4, 8], p_ref=120.0,
+                                              methods=("binnn-d", "greedy"), solver=solver))
+    assert [r.error for r in records if r.method == "binnn-d"] == ["NumericFailureError"] * 3
+    assert [(r["n"], r["method"], r["trials"]) for r in rows] == [(8, "greedy", 3)]
 
 
 def test_runtime_sweep_skips_big_brute():

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from binalloc.cli import main
+from binalloc import AnnealSchedule, SolverConfig
+from binalloc.cli import _solver_config, build_parser, main
 from binalloc.instances import save_instance
 
 
@@ -152,6 +153,24 @@ def test_bench_with_brute_ranks_brute_first(tmp_path, capsys):
         for row in list(csvmod.reader(fh))[1:]:
             scores[row[0]] = float(row[1])
     assert scores["brute"] == max(scores.values())
+
+
+@pytest.mark.parametrize("methods", [["--methods", "greedy"], ["--methods", "brute", "--with-brute"],
+                                     ["--methods", "greedy,greedy"]], ids=["one", "brute", "twice"])
+def test_bench_of_one_method_is_usage_error(tmp_path, methods):
+    out_dir = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--n", "6", "--trials", "2", *methods, "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert not out_dir.exists()  # rejected before anything ran
+
+
+def test_solver_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    plain = parser.parse_args(["solve", "f.json", "--method", "hnn"])
+    assert _solver_config(plain) == SolverConfig()
+    annealed = parser.parse_args(["solve", "f.json", "--method", "hnn", "--anneal"])
+    assert _solver_config(annealed) == SolverConfig(anneal=AnnealSchedule())
 
 
 def test_sweep_writes_scaling_csv(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
+from binalloc import energy as en
 from binalloc.dynamics import (
     FlowState,
     _advance,
@@ -16,17 +17,16 @@ from binalloc.dynamics import (
 )
 from binalloc.energy import (
     centralized_ctx,
+    distributed_ctx,
     energy,
     energy_tilde,
     grad,
-    grad_x_tilde,
     grad_y_tilde,
     hessian,
-    hessian_x_tilde,
     pt_inverse,
     pt_inverse_scalar,
 )
-from binalloc.errors import ConnectivityError, NumericFailureError
+from binalloc.errors import ConnectivityError, DomainError, NumericFailureError
 from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance
 
@@ -133,11 +133,11 @@ def test_binnn_c_crossover_sides_agree(monkeypatch):
     n = 12
     inst = small_instance(n, seed=5)
     x = interior_state(n, 5).x
-    assert n < dynamics._SECULAR_MIN_N
+    assert n < en._SECULAR_MIN_N
     default = flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0]
     sides = {}
     for side, min_n in (("secular", 1), ("dense", n + 1)):
-        monkeypatch.setattr(dynamics, "_SECULAR_MIN_N", min_n)
+        monkeypatch.setattr(en, "_SECULAR_MIN_N", min_n)
         sides[side] = flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0]
     assert np.array_equal(default, sides["dense"])  # small n stays on dense eigh
     descent = (x - x**2) / THERMO.temp * -grad(inst, THERMO, x)
@@ -222,8 +222,10 @@ def test_binnn_d_matches_independent_assembly():
         nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
         got_x = (nxt.x - state.x) / h
         got_y = (nxt.y - state.y) / h
-        hd = hessian_x_tilde(inst, THERMO, state.x)
-        gx = grad_x_tilde(inst, graph, THERMO, state.x, state.y)
+        ctx = distributed_ctx(inst)
+        ratio = THERMO.temp / THERMO.time_const
+        hd = ctx.hessian_diag(ratio / (state.x - state.x**2))
+        gx = ctx.grad(state.x, graph.laplacian @ state.y, ratio)
         ref_x = pt_inverse_scalar(hd, THERMO.floor) * (
             (state.x - state.x**2) / THERMO.temp
         ) * -gx
@@ -339,8 +341,6 @@ def test_solver_config_validation():
         SolverConfig(eps_init=0.5)
     with pytest.raises(ValueError):
         SolverConfig(tol_x=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(integrator="rk7")
 
 
 def test_short_run_descends_and_stays_interior():
@@ -390,13 +390,41 @@ def test_terminal_diagnostics_min_eig_matches_eigvalsh(symmetric_instance):
         assert abs(got - eigs.min()) <= 1e-12 * np.abs(eigs).max()
 
 
-def test_midpoint_integrator_descends():
+def test_terminal_diagnostics_distributed_match_independent_assembly():
+    inst = small_instance(10, seed=22)
+    graphs = (named_topology("path", 10), random_connected_graph(10, 0.3, 23))
+    for graph, seed in zip(graphs, (24, 25)):
+        cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=3.0, seed=seed, sample_stride=0)
+        result = run("binnn-d", inst, graph=graph, config=cfg)
+        x, y, thermo = result.x_final, result.y_final, result.thermo_final
+        ratio = thermo.temp / thermo.time_const
+        ctx = distributed_ctx(inst)
+        gx = ctx.grad(x, graph.laplacian @ y, ratio)
+        gy = grad_y_tilde(inst, graph, thermo, x, y)
+        diag = terminal_diagnostics(result, inst, graph=graph)
+        assert diag.grad_inf == float(np.max(np.abs(gx)))
+        assert diag.grad_y_inf == float(np.max(np.abs(gy)))
+        assert diag.min_hessian_eig == float(ctx.hessian_diag(ratio / (x - x * x)).min())
+
+
+def test_terminal_diagnostics_distributed_needs_a_graph():
     inst = small_instance(5, seed=19)
-    cfg = SolverConfig(thermo=THERMO, step=1e-3, t_max=0.5, seed=5,
-                       sample_stride=1, integrator="midpoint")
-    result = run("hnn", inst, config=cfg)
-    energies = [rec[3] for rec in result.trajectory]
-    assert energies[-1] < energies[0]
+    cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)
+    result = run("binnn-d", inst, graph=named_topology("ring", 5), config=cfg)
+    with pytest.raises(ValueError, match="requires a graph"):
+        terminal_diagnostics(result, inst)
+
+
+def test_terminal_diagnostics_rejects_a_state_on_the_boundary():
+    inst = small_instance(5, seed=19)
+    cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)
+    graph = named_topology("ring", 5)
+    for flow in ("binnn-c", "binnn-d"):
+        result = run(flow, inst, graph=graph if flow == "binnn-d" else None, config=cfg)
+        x = result.x_final.copy()
+        x[2] = 1.0
+        with pytest.raises(DomainError):
+            terminal_diagnostics(replace(result, x_final=x), inst, graph=graph)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -495,9 +523,6 @@ def _step_by_step(flow, instance, graph, config):
             if (np.abs(xdot).max() < config.tol_x and y_rate < config.tol_y
                     and np.abs(g).max() < 10.0 * config.tol_x):
                 break
-            if config.integrator == "midpoint":
-                mid = _advance(state, xdot, ydot, 0.5 * config.step, config.eps_clip)
-                xdot, ydot, _ = rates(mid.x, mid.y)
             state = _advance(state, xdot, ydot, config.step, config.eps_clip)
             steps += 1
             if stride > 0 and steps % stride == 0:
@@ -545,16 +570,13 @@ def test_frozen_hnn_run_is_fast_forwarded_exactly(rate_calls, stride):
     assert rate_calls[0] == 16  # frozen after step 1, found at the first check
 
 
-@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
-def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls, integrator):
-    # so cold that a midpoint step, too, runs every coordinate into the clip
+def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls):
+    # so cold that every coordinate runs into the clip
     inst = random_instance(20, 5, p_ref=1500.0)
-    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10,
-                  integrator=integrator)
+    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
     assert len(result.trajectory) == 1 + result.iterations // 10 + 1
-    evaluations = rate_calls[0] // (2 if integrator == "midpoint" else 1)
-    assert evaluations < result.iterations  # it froze, and was fast-forwarded
+    assert rate_calls[0] < result.iterations  # it froze, and was fast-forwarded
 
 
 def test_fast_forward_needs_y_frozen_too():

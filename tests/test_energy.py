@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal
+from binalloc.dynamics import flow_rates
 from binalloc.energy import (
     _secular_roots,
-    activation,
     activation_inv,
     barrier_integral,
     centralized_ctx,
+    distributed_ctx,
     energy,
     energy_tilde,
     grad,
-    grad_x_tilde,
     grad_y_tilde,
     hessian,
-    hessian_x_tilde,
     min_eig_rank_one,
-    min_hessian_eig,
     pt_inverse,
     pt_inverse_rank_one,
     pt_inverse_scalar,
@@ -40,17 +38,16 @@ def _fd_grad(fun, x, h=1e-6):
 
 
 def test_activation_examples():
-    assert activation(0.0, 1.0) == pytest.approx(0.5)
     assert activation_inv(0.5, 3.7) == pytest.approx(0.0, abs=1e-15)
-    assert activation(1.0, 1.0) == pytest.approx(1.0 / (1.0 + np.exp(-1.0)),
-                                                 rel=1e-12)
+    assert activation_inv(1.0 / (1.0 + np.exp(-1.0)), 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert activation_inv(1.0 / (1.0 + np.exp(2.0)), 0.5) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_activation_inverse_roundtrip():
     rng = np.random.default_rng(0)
     for temp in (0.3, 1.0, 4.0):
         u = rng.uniform(-8, 8, 20) * temp
-        x = activation(u, temp)
+        x = 1.0 / (1.0 + np.exp(-u / temp))  # the logistic activation
         back = activation_inv(x, temp)
         assert np.max(np.abs(back - u)) <= 1e-9 * (1 + np.max(np.abs(u)))
 
@@ -150,7 +147,7 @@ def test_tilde_grads_match_fd(bench_small):
     for _ in range(6):
         x = rng.uniform(0.05, 0.95, 6)
         y = rng.normal(size=6)
-        gx = grad_x_tilde(inst, graph, thermo, x, y)
+        gx = flow_rates("binnn-d", inst, graph, thermo, 1.0)(x, y)[2]
         gy = grad_y_tilde(inst, graph, thermo, x, y)
         fdx = _fd_grad(lambda z: energy_tilde(inst, graph, thermo, z, y), x)
         fdy = _fd_grad(lambda z: energy_tilde(inst, graph, thermo, x, z), y)
@@ -188,7 +185,7 @@ def test_tilde_hessian_is_diag_and_diverges(bench_small):
     prev = None
     for k in range(2, 9):
         x = np.full(4, 10.0**-k)
-        diag = hessian_x_tilde(inst, thermo, x)
+        diag = distributed_ctx(inst).hessian_diag(thermo.temp / thermo.time_const / (x - x**2))
         assert diag.shape == (4,)
         if prev is not None:
             assert np.all(diag > prev)
@@ -241,7 +238,8 @@ def test_pt_inverse_scalar_examples():
 
 
 # The secular PT-inverse kernel against the dense reference: each case
-# compares ``pt_solve`` with ``pt_inverse(hessian(...)) @ v`` and must raise
+# compares ``pt_inverse_rank_one`` (what ``pt_solve`` runs from ``_SECULAR_MIN_N``
+# agents on) with ``pt_inverse(hessian(...)) @ v`` at any size, and must raise
 # no numpy warning (division by zero, invalid values) on the way.
 no_numpy_warnings = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -250,7 +248,7 @@ def _pt_solve_error(inst, thermo, x, seed=0):
     """Max error of the secular solve against dense ``eigh``, relative to max |ref|."""
     v = np.random.default_rng(seed).normal(size=inst.n)
     curvature = thermo.temp / thermo.time_const / (x - x**2)
-    got = centralized_ctx(inst).pt_solve(curvature, v, thermo.floor)
+    got = pt_inverse_rank_one(inst.quad + curvature, centralized_ctx(inst).weight, v, thermo.floor)
     ref = pt_inverse(hessian(inst, thermo, x), thermo.floor) @ v
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
@@ -427,7 +425,9 @@ def test_min_hessian_eig_matches_eigvalsh(bench_small, symmetric_instance):
     for inst, x in cases:
         eigs = _spectrum(inst, thermo, x)
         scale = np.abs(eigs).max()
-        assert abs(min_hessian_eig(inst, thermo, x) - eigs.min()) <= 1e-12 * scale
+        curvature = thermo.temp / thermo.time_const / (x - x**2)
+        got = centralized_ctx(inst).min_hessian_eig(curvature)
+        assert abs(got - eigs.min()) <= 1e-12 * scale
 
 
 def test_thermo_validation():

@@ -125,12 +125,6 @@ def test_named_topologies():
         named_topology("torus", 4)
 
 
-def test_two_hop_sets():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.two_hop(0) == [1, 2]
-    assert g.two_hop(1) == [0, 2, 3]
-
-
 # complete and random graphs at n=2000 have ~2M pairs: too slow to build in a unit test
 @pytest.mark.parametrize(
     "n, topology",
