@@ -100,7 +100,7 @@ def _subset_sums(values):
     return sums
 
 
-def brute_force(instance, cap=BRUTE_FORCE_CAP):
+def brute_force(instance):
     """Exhaustive minimum over all 2^n corners in O(2^n) time.
 
     Subset sums of a high and a low half of the agents (Horowitz & Sahni
@@ -109,8 +109,8 @@ def brute_force(instance, cap=BRUTE_FORCE_CAP):
     the most significant position in the enumeration order).
     """
     n = instance.n
-    if n > cap:
-        raise SizeError(f"brute force refused: n={n} exceeds cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeError(f"brute force refused: n={n} exceeds cap {BRUTE_FORCE_CAP}")
     split = n - min(_CHUNK_BITS, n)
     values = np.stack((instance.incr_cost, instance.output))
     c_lo, p_lo = _subset_sums(values[:, split:])

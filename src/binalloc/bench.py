@@ -42,18 +42,11 @@ class CampaignConfig:
     trials: int = 100
     seed: int = 0
     methods: tuple = DEFAULT_METHODS
-    p_range: tuple = (1.0, 50.0)
-    exponent_range: tuple = (2.0, 3.0)
     p_ref: float = 1500.0
     gamma: float = 1.0
-    extra_edge_fraction: float = 0.2
     solver: dynamics.SolverConfig = field(
         default_factory=lambda: dynamics.SolverConfig(
-            thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
-            step=0.02,
-            t_max=60.0,
-            sample_stride=0,
-            anneal=dynamics.AnnealSchedule(beta=1.4, t_d=2.0, steps=10),
+            step=0.02, t_max=60.0, sample_stride=0, anneal=dynamics.AnnealSchedule(t_d=2.0)
         )
     )
 
@@ -74,27 +67,17 @@ def solve_with_method(method, instance, graph, solver, seed=None):
         raise ValueError(f"unknown method {method!r}")
     flow, use_anneal = NN_METHODS[method]
     cfg = replace(solver, seed=seed)
-    g = graph if flow == "binnn-d" else None
-    if use_anneal:
-        if cfg.anneal is None:
-            cfg = replace(cfg, anneal=dynamics.AnnealSchedule())
-        result = dynamics.anneal(flow, instance, g, cfg)
-    else:
-        result = dynamics.run(flow, instance, g, cfg)
+    if use_anneal and cfg.anneal is None:
+        cfg = replace(cfg, anneal=dynamics.AnnealSchedule())
+    solve = dynamics.anneal if use_anneal else dynamics.run
+    result = solve(flow, instance, graph if flow == "binnn-d" else None, cfg)
     return result.cost, result.iterations, result.converged
 
 
 def _run_trial(config, trial, tss):
     parts = tss.spawn(2 + len(config.methods))
-    instance = random_instance(
-        config.n,
-        parts[0],
-        p_range=config.p_range,
-        exponent_range=config.exponent_range,
-        p_ref=config.p_ref,
-        gamma=config.gamma,
-    )
-    graph = random_connected_graph(config.n, config.extra_edge_fraction, parts[1])
+    instance = random_instance(config.n, parts[0], p_ref=config.p_ref, gamma=config.gamma)
+    graph = random_connected_graph(config.n, seed=parts[1])
     records = []
     for k, method in enumerate(config.methods):
         start = time.perf_counter()
@@ -152,16 +135,12 @@ def _trial_points(costs):
     costs = np.minimum(costs, np.finfo(float).max)  # failures (inf) tie; inf - inf is nan
     k = len(costs)
     order = np.argsort(costs, kind="stable")
+    # a run of sorted costs with gaps within the tolerance is one group, as
+    # energy._deflate groups poles; its placements share their mean points
+    group = np.cumsum(np.r_[True, np.diff(costs[order]) > COST_TIE_TOL]) - 1
+    mean = np.bincount(group, k - 1.0 - np.arange(k)) / np.bincount(group)
     points = np.empty(k)
-    pos = 0
-    while pos < k:
-        end = pos
-        while end + 1 < k and costs[order[end + 1]] - costs[order[end]] <= COST_TIE_TOL:
-            end += 1
-        # placements pos..end share the mean of their point values
-        vals = [k - 1 - r for r in range(pos, end + 1)]
-        points[order[pos : end + 1]] = float(np.mean(vals))
-        pos = end + 1
+    points[order] = mean[group]
     return points
 
 
@@ -194,8 +173,8 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3):
     rates and advance directly (``run`` skips the steps of a frozen state)."""
     flow, _ = NN_METHODS[method]
     instance = random_instance(n, seed, p_ref=15.0 * n)
-    graph = random_connected_graph(n, 0.2, seed)
-    thermo = Thermo(temp=1.0, time_const=0.1, floor=0.1)
+    graph = random_connected_graph(n, seed=seed)
+    thermo = Thermo()
     mode = "distributed" if flow == "binnn-d" else "centralized"
     times = []
     for _ in range(repeats):

@@ -15,6 +15,8 @@ from .graphs import build_graph, named_topology
 from .instances import load_instance, random_instance, save_instance
 
 SOLVE_METHODS = dynamics.FLOW_KINDS + tuple(baselines.SOLVERS) + ("round",)
+CAMPAIGN_METHODS = tuple(bench.NN_METHODS) + tuple(baselines.SOLVERS)
+_OMIT = argparse.SUPPRESS  # a flag not given stays out of args: the library default applies
 
 
 def _pair(text):
@@ -26,55 +28,51 @@ def _int_list(text):
     return [int(v) for v in text.split(",")]
 
 
+def _given(args, *names):
+    """The named arguments that the command line gave, as keywords."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _add_solver_flags(sub):
-    sub.add_argument("--temp", type=float, default=1.0, help="activation temperature")
-    sub.add_argument("--tau", type=float, default=0.1, help="barrier time constant")
-    sub.add_argument("--floor", type=float, default=0.1, help="Hessian truncation floor")
-    sub.add_argument("--alpha", type=float, default=1.0, help="auxiliary flow gain")
-    sub.add_argument("--h", type=float, default=1e-2, help="integration step")
-    sub.add_argument("--t-max", type=float, default=1000.0)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--eps-init", type=float, default=0.05)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--temp", type=float, default=_OMIT, help="activation temperature")
+    sub.add_argument("--tau", dest="time_const", type=float, default=_OMIT,
+                     help="barrier time constant")
+    sub.add_argument("--floor", type=float, default=_OMIT, help="Hessian truncation floor")
+    sub.add_argument("--alpha", type=float, default=_OMIT, help="auxiliary flow gain")
+    sub.add_argument("--h", dest="step", type=float, default=_OMIT, help="integration step")
+    sub.add_argument("--t-max", type=float, default=_OMIT)
+    sub.add_argument("--tol", type=float, default=_OMIT, help="velocity tolerance of x and y")
+    sub.add_argument("--eps-init", type=float, default=_OMIT)
+    sub.add_argument("--seed", type=int, default=_OMIT)
     sub.add_argument("--anneal", action="store_true", help="enable the learning schedule")
-    sub.add_argument("--beta", type=float, default=1.4)
-    sub.add_argument("--steps", type=int, default=10)
-    sub.add_argument("--td", type=float, default=1.0, help="simulated time per round")
-    sub.add_argument("--knob", choices=("tau-up", "T-down"), default="tau-up")
+    sub.add_argument("--beta", type=float, default=_OMIT)
+    sub.add_argument("--steps", type=int, default=_OMIT)
+    sub.add_argument("--td", dest="t_d", type=float, default=_OMIT,
+                     help="simulated time per round")
+    sub.add_argument("--knob", choices=("tau-up", "T-down"), default=_OMIT)
 
 
 def _solver_config(args):
     anneal = None
-    if getattr(args, "anneal", False):
-        anneal = dynamics.AnnealSchedule(
-            beta=args.beta, t_d=args.td, steps=args.steps, knob=args.knob
-        )
+    if args.anneal:
+        anneal = dynamics.AnnealSchedule(**_given(args, "beta", "t_d", "steps", "knob"))
+    tol = {"tol_x": args.tol, "tol_y": args.tol} if "tol" in args else {}
     return dynamics.SolverConfig(
-        thermo=Thermo(temp=args.temp, time_const=args.tau, floor=args.floor),
-        alpha=args.alpha,
-        step=args.h,
-        eps_init=args.eps_init,
-        tol_x=args.tol,
-        tol_y=args.tol,
-        t_max=args.t_max,
+        thermo=Thermo(**_given(args, "temp", "time_const", "floor")),
         anneal=anneal,
-        seed=args.seed,
+        **tol,
+        **_given(args, "alpha", "step", "eps_init", "t_max", "seed"),
     )
 
 
 def _cmd_gen(args):
     instance = random_instance(
-        args.n,
-        args.seed,
-        p_range=args.p_range,
-        exponent_range=args.e_range,
-        p_ref=args.p_ref,
-        gamma=args.gamma,
+        args.n, args.seed, **_given(args, "p_range", "exponent_range", "p_ref", "gamma")
     )
     edges = None
     if args.topology:
         edges = named_topology(
-            args.topology, args.n, seed=args.seed, extra_edge_fraction=args.extra_edges
+            args.topology, args.n, seed=args.seed, **_given(args, "extra_edge_fraction")
         ).edges
     save_instance(instance, args.out, edges=edges)
     norm = float(np.linalg.norm(instance.output))
@@ -86,7 +84,7 @@ def _graph_for(args, n, edges):
     if edges is not None:
         return build_graph(n, edges)
     return named_topology(
-        args.topology or "random", n, seed=args.graph_seed, extra_edge_fraction=args.extra_edges
+        args.topology or "random", n, seed=args.graph_seed, **_given(args, "extra_edge_fraction")
     )
 
 
@@ -116,6 +114,8 @@ def _cmd_solve(args):
     print(f"wall_time: {result.wall_time:.6g}")
     print(f"converged: {result.converged}")
     print(f"grad_inf: {diag.grad_inf:.6g}")
+    if diag.grad_y_inf is not None:  # the consensus residual of a distributed solve
+        print(f"grad_y_inf: {diag.grad_y_inf:.6g}")
     print(f"min_hessian_eig: {diag.min_hessian_eig:.6g}")
     print(f"local_min_certified: {diag.local_min_certified}")
     if args.traj_out:
@@ -126,14 +126,9 @@ def _cmd_solve(args):
 
 def _cmd_bench(args):
     config = bench.CampaignConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        methods=args.methods,
-        p_ref=args.p_ref,
-        gamma=args.gamma,
+        methods=args.methods, **_given(args, "n", "trials", "seed", "p_ref", "gamma")
     )
-    records = bench.run_campaign(config, jobs=args.jobs)
+    records = bench.run_campaign(config, **_given(args, "jobs"))
     scores = bench.q_metric(records)
     os.makedirs(args.out_dir, exist_ok=True)
     bench.write_campaign_csv(records, os.path.join(args.out_dir, "campaign.csv"))
@@ -145,10 +140,7 @@ def _cmd_bench(args):
 
 
 def _cmd_sweep(args):
-    methods = tuple(args.methods.split(","))
-    rows = bench.runtime_sweep(
-        args.grid, methods, per_n_trials=args.per_n_trials, seed=args.seed
-    )
+    rows = bench.runtime_sweep(args.grid, args.methods, **_given(args, "per_n_trials", "seed"))
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "scaling.csv")
     bench.write_sweep_csv(rows, path)
@@ -167,12 +159,12 @@ def build_parser():
     gen = subs.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--p-range", type=_pair, default=(1.0, 50.0))
-    gen.add_argument("--e-range", type=_pair, default=(2.0, 3.0))
-    gen.add_argument("--p-ref", type=float, default=1500.0)
-    gen.add_argument("--gamma", type=float, default=1.0)
+    gen.add_argument("--p-range", type=_pair, default=_OMIT)
+    gen.add_argument("--e-range", dest="exponent_range", type=_pair, default=_OMIT)
+    gen.add_argument("--p-ref", type=float, default=_OMIT)
+    gen.add_argument("--gamma", type=float, default=_OMIT)
     gen.add_argument("--topology", choices=("ring", "path", "complete", "random"))
-    gen.add_argument("--extra-edges", type=float, default=0.2)
+    gen.add_argument("--extra-edges", dest="extra_edge_fraction", type=float, default=_OMIT)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
@@ -182,28 +174,28 @@ def build_parser():
     solve.add_argument("--frac-point", help="CSV fractional point for --method round")
     solve.add_argument("--topology", choices=("ring", "path", "complete", "random"))
     solve.add_argument("--graph-seed", type=int, default=0)
-    solve.add_argument("--extra-edges", type=float, default=0.2)
+    solve.add_argument("--extra-edges", dest="extra_edge_fraction", type=float, default=_OMIT)
     solve.add_argument("--traj-out", help="write the trajectory CSV here")
     _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
     cb = subs.add_parser("bench", help="run a benchmark campaign")
-    cb.add_argument("--n", type=int, default=50)
-    cb.add_argument("--trials", type=int, default=100)
-    cb.add_argument("--seed", type=int, default=0)
+    cb.add_argument("--n", type=int, default=_OMIT)
+    cb.add_argument("--trials", type=int, default=_OMIT)
+    cb.add_argument("--seed", type=int, default=_OMIT)
     cb.add_argument("--methods", help="comma-separated method list")
     cb.add_argument("--with-brute", action="store_true")
-    cb.add_argument("--p-ref", type=float, default=1500.0)
-    cb.add_argument("--gamma", type=float, default=1.0)
-    cb.add_argument("--jobs", type=int, default=1)
+    cb.add_argument("--p-ref", type=float, default=_OMIT)
+    cb.add_argument("--gamma", type=float, default=_OMIT)
+    cb.add_argument("--jobs", type=int, default=_OMIT)
     cb.add_argument("--out-dir", default=".")
     cb.set_defaults(func=_cmd_bench)
 
     sw = subs.add_parser("sweep", help="measure runtime scaling over problem sizes")
     sw.add_argument("--grid", type=_int_list, required=True)
     sw.add_argument("--methods", required=True)
-    sw.add_argument("--per-n-trials", type=int, default=3)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--per-n-trials", type=int, default=_OMIT)
+    sw.add_argument("--seed", type=int, default=_OMIT)
     sw.add_argument("--out-dir", default=".")
     sw.set_defaults(func=_cmd_sweep)
 
@@ -223,6 +215,11 @@ def main(argv=None):
             args.methods += ("brute",)
         if len(set(args.methods)) < 2:
             parser.error("a campaign ranks methods against each other: give at least two")
+    if args.command == "sweep":
+        args.methods = tuple(args.methods.split(","))
+    unknown = [m for m in getattr(args, "methods", ()) if m not in CAMPAIGN_METHODS]
+    if unknown:
+        parser.error(f"unknown method {unknown[0]!r}; choose from {', '.join(CAMPAIGN_METHODS)}")
     try:
         return args.func(args)
     except (BinallocError, OSError, ValueError) as exc:

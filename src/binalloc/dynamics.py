@@ -57,6 +57,12 @@ class AnnealSchedule:
         if self.knob not in ("tau-up", "T-down"):
             raise ValueError(f"unknown knob {self.knob!r}")
 
+    def shrink(self, thermo):
+        """The knobs after one round."""
+        if self.knob == "tau-up":
+            return replace(thermo, time_const=thermo.time_const * self.beta)
+        return replace(thermo, temp=thermo.temp / self.beta)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -92,7 +98,7 @@ class RunResult:
     wall_time: float
     converged: bool
     thermo_final: en.Thermo
-    round_ends: tuple = ()
+    round_ends: tuple  # x at the end of each round; run() is one round
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,27 @@ def _prepare(flow, instance, graph, config):
     return state, thermo
 
 
-def _finish(instance, state, samples, iterations, wall, converged, thermo, round_ends=()):
+def _solve(flow, instance, graph, config, rounds, duration, shrink):
+    """Integrate ``rounds`` rounds of ``duration`` simulated time each, applying
+    ``shrink`` to the knobs after every round. The state carries over."""
+    state, thermo = _prepare(flow, instance, graph, config)
+    samples = []
+    if config.sample_stride > 0:
+        _sample(samples, instance, graph, thermo, state)
+    round_ends = []
+    iterations = 0
+    converged = False
+    start = time.perf_counter()
+    for _ in range(rounds):
+        state, converged, its = _integrate(
+            flow, instance, graph, state, thermo, config, state.t + duration, samples, iterations
+        )
+        iterations += its
+        round_ends.append(state.x.copy())
+        thermo = shrink(thermo)
+    wall = time.perf_counter() - start
+    if config.sample_stride > 0:
+        _sample(samples, instance, graph, thermo, state)
     bits = round_to_binary(state.x)
     return RunResult(
         x_final=state.x,
@@ -313,20 +339,10 @@ def _finish(instance, state, samples, iterations, wall, converged, thermo, round
 
 
 def run(flow, instance, graph=None, config=None):
-    """Integrate one flow from a random interior start until it stalls."""
+    """Integrate one flow from a random interior start until it stalls: one
+    round of ``config.t_max`` at fixed knobs."""
     config = config or SolverConfig()
-    state, thermo = _prepare(flow, instance, graph, config)
-    samples = []
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    start = time.perf_counter()
-    state, converged, iterations = _integrate(
-        flow, instance, graph, state, thermo, config, config.t_max, samples
-    )
-    wall = time.perf_counter() - start
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    return _finish(instance, state, samples, iterations, wall, converged, thermo)
+    return _solve(flow, instance, graph, config, 1, config.t_max, lambda thermo: thermo)
 
 
 def anneal(flow, instance, graph=None, config=None):
@@ -340,30 +356,7 @@ def anneal(flow, instance, graph=None, config=None):
     sched = config.anneal
     if sched is None:
         raise ValueError("anneal requires config.anneal to be set")
-    state, thermo = _prepare(flow, instance, graph, config)
-    samples = []
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    round_ends = []
-    iterations = 0
-    converged = False
-    start = time.perf_counter()
-    for _ in range(sched.steps):
-        state, converged, its = _integrate(
-            flow, instance, graph, state, thermo, config, state.t + sched.t_d, samples, iterations
-        )
-        iterations += its
-        round_ends.append(state.x.copy())
-        if sched.knob == "tau-up":
-            thermo = replace(thermo, time_const=thermo.time_const * sched.beta)
-        else:
-            thermo = replace(thermo, temp=thermo.temp / sched.beta)
-    wall = time.perf_counter() - start
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    return _finish(
-        instance, state, samples, iterations, wall, converged, thermo, round_ends
-    )
+    return _solve(flow, instance, graph, config, sched.steps, sched.t_d, sched.shrink)
 
 
 def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=1e-6):

@@ -104,15 +104,15 @@ def pseudo_inverse(graph):
     return (q * inv) @ q.T
 
 
-def y_star(graph, output, x, kappa=0.0):
-    """Closed-form minimizer of the distributed penalty over the conserved-sum set."""
+def y_star(graph, output, x):
+    """Closed-form minimizer of the distributed penalty over the flow's set sum(y) = 0."""
     if not is_connected(graph):
         raise ConnectivityError("y_star requires a connected graph")
     output = np.asarray(output, dtype=float)
     x = np.asarray(x, dtype=float)
     if output.shape != (graph.n,) or x.shape != (graph.n,):
         raise ShapeError("output and x must have length n")
-    return -pseudo_inverse(graph) @ (output * x) + kappa / graph.n
+    return -pseudo_inverse(graph) @ (output * x)
 
 
 def random_connected_graph(n, extra_edge_fraction=0.2, seed=None):

@@ -16,6 +16,10 @@ import numpy as np
 from .errors import ConnectivityError, InvalidCoefficientError, ShapeError
 from .graphs import build_graph, is_connected
 
+# (temperature, time constant) at which generated quadratic costs are bistable:
+# the default Thermo's knobs, which this module cannot import.
+_BISTABLE_AT = (1.0, 0.1)
+
 
 def _vec(values, n=None, name="vector"):
     arr = np.atleast_1d(np.asarray(values, dtype=float))
@@ -94,24 +98,19 @@ def fit_coefficients(incr_cost, quad, passive):
     return a, 0.5 - c / a, d
 
 
-def default_quad(output, penalty, temp, time_const, margin=0.1, mode="centralized"):
+def default_quad(output, penalty, temp, time_const, margin=0.1):
     """Quadratic coefficients steep enough for bistable flows at the given knobs.
 
-    Centralized mode uses the global output norm; distributed mode uses only
-    each agent's own output so the value is locally computable.
+    Uses the global output norm, so the value also meets each agent's own
+    (distributed) condition.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     if temp <= 0 or time_const <= 0:
         raise ValueError("temp and time_const must be > 0")
     p = _vec(output, name="output")
-    ratio = 4.0 * temp / time_const
-    if mode == "centralized":
-        level = penalty * float(p @ p) + ratio
-        return np.full(p.shape[0], -level * (1.0 + margin))
-    if mode == "distributed":
-        return -(penalty * p**2 + ratio) * (1.0 + margin)
-    raise ValueError(f"unknown mode {mode!r}")
+    level = penalty * float(p @ p) + 4.0 * temp / time_const
+    return np.full(p.shape[0], -level * (1.0 + margin))
 
 
 def eval_p1(instance, x):
@@ -141,12 +140,10 @@ def eval_p2(instance, graph, x, y):
     return float(agent.sum() + 0.5 * instance.penalty * float(residual @ residual))
 
 
-def round_to_binary(x, threshold=0.5):
-    """Map a fractional point to bits; entries at the threshold round up."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+def round_to_binary(x):
+    """Map a fractional point to bits; entries at 0.5 round up."""
     x = _vec(x, name="x")
-    return (x >= threshold).astype(int)
+    return (x >= 0.5).astype(int)
 
 
 def random_instance(
@@ -156,16 +153,12 @@ def random_instance(
     exponent_range=(2.0, 3.0),
     p_ref=1500.0,
     gamma=1.0,
-    temp=1.0,
-    time_const=0.1,
-    margin=0.1,
 ):
     """Draw outputs uniformly and set on-costs to a random power of each output.
 
     Deterministic for a given seed. Quadratic coefficients come from
-    :func:`default_quad` (centralized mode, so they also satisfy the
-    per-agent distributed condition), centers from :func:`fit_coefficients`,
-    passive costs are zero.
+    :func:`default_quad`, centers from :func:`fit_coefficients`, passive
+    costs are zero.
     """
     lo, hi = p_range
     if not lo < hi and lo != hi:
@@ -174,7 +167,7 @@ def random_instance(
     p = rng.uniform(lo, hi, size=n)
     e = rng.uniform(exponent_range[0], exponent_range[1], size=n)
     c = p**e
-    a = default_quad(p, gamma, temp, time_const, margin=margin)
+    a = default_quad(p, gamma, *_BISTABLE_AT)
     a, b, d = fit_coefficients(c, a, np.zeros(n))
     return Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
 
@@ -217,7 +210,7 @@ def from_json_dict(doc):
         b = _vec(doc["b"], n, "b")
     elif "c" in doc:
         c = _vec(doc["c"], n, "c")
-        a = default_quad(p, gamma, temp=1.0, time_const=0.1)
+        a = default_quad(p, gamma, *_BISTABLE_AT)
         a, b, d = fit_coefficients(c, a, d)
     else:
         raise ShapeError("instance JSON needs either 'a'+'b' or 'c'")

@@ -348,20 +348,22 @@ def test_criterion_9_q_metric_correctness():
 
 def test_criterion_10_scaling_shape():
     start = time.perf_counter()
-    brute_times = {}
-    for n in (16, 20):
-        inst = random_instance(n, 10, p_ref=15.0 * n)
-        reps = []
-        for _ in range(3):
+    # each timing takes turns with the others of its kind over several
+    # rounds, so that a slow spell of the host weighs on all of them alike
+    brute_times = {n: [] for n in (16, 20)}
+    brute_inputs = {n: random_instance(n, 10, p_ref=15.0 * n) for n in brute_times}
+    for _ in range(9):
+        for n, inst in brute_inputs.items():
             t0 = time.perf_counter()
             brute_force(inst)
-            reps.append(time.perf_counter() - t0)
-        brute_times[n] = float(np.median(reps))
-    brute_ratio = brute_times[20] / brute_times[16]
-    d100 = median_step_time("binnn-d", 100, steps=50, seed=0)
-    d400 = median_step_time("binnn-d", 400, steps=50, seed=0)
-    c100 = median_step_time("binnn-c", 100, steps=50, seed=0)
-    c400 = median_step_time("binnn-c", 400, steps=50, seed=0)
+            brute_times[n].append(time.perf_counter() - t0)
+    brute_ratio = float(np.median(brute_times[20]) / np.median(brute_times[16]))
+    cases = (("binnn-d", 100), ("binnn-d", 400), ("binnn-c", 100), ("binnn-c", 400))
+    rounds = {case: [] for case in cases}
+    for _ in range(5):
+        for method, n in cases:
+            rounds[method, n].append(median_step_time(method, n, steps=50, seed=0))
+    d100, d400, c100, c400 = (float(np.median(rounds[case])) for case in cases)
     d_ratio = d400 / d100
     c_ratio = c400 / c100
     elapsed = time.perf_counter() - start

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from binalloc import brute_force, greedy, round_relaxed
+from binalloc import baselines, brute_force, greedy, round_relaxed
 from binalloc.errors import SizeError
 from binalloc.instances import Instance, eval_p1, random_instance
 
@@ -198,8 +198,11 @@ def test_brute_force_lexicographic_ties_across_chunks(n, tied, expected):
     assert sol.cost == 1.0
 
 
-def test_brute_force_size_cap_is_an_argument():
+def test_brute_force_size_cap_is_the_module_constant(monkeypatch):
     inst = random_instance(13, 0, p_ref=100.0)
+    expected = brute_force(inst).chosen
+    monkeypatch.setattr(baselines, "BRUTE_FORCE_CAP", 12)
     with pytest.raises(SizeError):
-        brute_force(inst, cap=12)
-    assert brute_force(inst, cap=13).chosen == brute_force(inst).chosen
+        brute_force(inst)
+    monkeypatch.setattr(baselines, "BRUTE_FORCE_CAP", 13)
+    assert brute_force(inst).chosen == expected

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 
@@ -165,12 +167,151 @@ def test_bench_of_one_method_is_usage_error(tmp_path, methods):
     assert not out_dir.exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("argv", [["bench", "--n", "6", "--trials", "1", "--methods", "foo,greedy"],
+                                  ["sweep", "--grid", "6", "--methods", "greedy,nope"]],
+                         ids=["bench", "sweep"])
+def test_unknown_method_is_usage_error(tmp_path, capsys, argv):
+    out_dir = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "unknown method" in capsys.readouterr().err
+    assert not out_dir.exists()  # rejected before anything ran
+
+
+@pytest.mark.parametrize("method", ["binnn-d", "binnn-c"])
+def test_solve_prints_the_consensus_residual_of_a_distributed_solve(two_agent_file, capsys,
+                                                                     method):
+    assert run_cli(["solve", two_agent_file, "--method", method, "--seed", "0",
+                    "--t-max", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shown = [line for line in lines if line.startswith("grad_y_inf: ")]
+    assert len(shown) == (method == "binnn-d")
+
+
 def test_solver_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     plain = parser.parse_args(["solve", "f.json", "--method", "hnn"])
     assert _solver_config(plain) == SolverConfig()
     annealed = parser.parse_args(["solve", "f.json", "--method", "hnn", "--anneal"])
     assert _solver_config(annealed) == SolverConfig(anneal=AnnealSchedule())
+
+
+def _flat(obj, prefix=""):
+    """Dataclass fields as a dotted-name dict, nested dataclasses flattened."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_flat(value, f"{prefix}{f.name}."))
+        else:
+            out[f"{prefix}{f.name}"] = value
+    return out
+
+
+def _changed(base, other):
+    return {k for k in base if base[k] != other[k]}
+
+
+@pytest.mark.parametrize("flag, value, changed", [
+    ("--temp", "2.0", {"thermo.temp"}),
+    ("--tau", "0.3", {"thermo.time_const"}),
+    ("--floor", "0.3", {"thermo.floor"}),
+    ("--alpha", "0.5", {"alpha"}),
+    ("--h", "0.03", {"step"}),
+    ("--t-max", "50", {"t_max"}),
+    ("--tol", "1e-5", {"tol_x", "tol_y"}),
+    ("--eps-init", "0.1", {"eps_init"}),
+    ("--seed", "7", {"seed"}),
+    ("--beta", "1.6", {"anneal.beta"}),
+    ("--steps", "4", {"anneal.steps"}),
+    ("--td", "2.5", {"anneal.t_d"}),
+    ("--knob", "T-down", {"anneal.knob"}),
+])
+def test_each_solver_flag_lands_in_its_own_field(flag, value, changed):
+    parser = build_parser()
+    annealed = flag in ("--beta", "--steps", "--td", "--knob")
+    base = ["solve", "f.json", "--method", "hnn"] + (["--anneal"] if annealed else [])
+    default = SolverConfig(anneal=AnnealSchedule() if annealed else None)
+    got = _solver_config(parser.parse_args(base + [flag, value]))
+    assert _changed(_flat(default), _flat(got)) == changed
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Replace module.name with a wrapper that records its arguments, defaults
+    applied, by name."""
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+
+    def record(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls[name] = dict(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+
+
+@pytest.mark.parametrize("flag, value, function, changed", [
+    ("--p-range", "2,30", "random_instance", "p_range"),
+    ("--e-range", "1.5,2.5", "random_instance", "exponent_range"),
+    ("--p-ref", "200", "random_instance", "p_ref"),
+    ("--gamma", "0.5", "random_instance", "gamma"),
+    ("--extra-edges", "0.4", "named_topology", "extra_edge_fraction"),
+])
+def test_each_gen_flag_lands_in_its_own_argument(tmp_path, monkeypatch, flag, value,
+                                                 function, changed):
+    import binalloc.cli as cli
+
+    runs = []
+    for extra in ([], [flag, value]):
+        calls = {}
+        _recording(monkeypatch, cli, "random_instance", calls)
+        _recording(monkeypatch, cli, "named_topology", calls)
+        out = str(tmp_path / f"inst{len(runs)}.json")
+        assert main(["gen", "--n", "5", "--topology", "random", "--out", out, *extra]) == 0
+        monkeypatch.undo()
+        runs.append(calls)
+    plain, flagged = runs
+    expected = {
+        "random_instance": inspect.signature(cli.random_instance).bind(5, 0),
+        "named_topology": inspect.signature(cli.named_topology).bind("random", 5, seed=0),
+    }
+    for name, bound in expected.items():  # a flag not given leaves the library default
+        bound.apply_defaults()
+        assert plain[name] == dict(bound.arguments)
+    for name in expected:
+        diff = _changed(plain[name], flagged[name])
+        assert diff == ({changed} if name == function else set())
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flag, value, changed", [
+    ("--n", "7", "n"),
+    ("--trials", "3", "trials"),
+    ("--seed", "4", "seed"),
+    ("--p-ref", "200", "p_ref"),
+    ("--gamma", "0.5", "gamma"),
+])
+def test_each_bench_flag_lands_in_its_own_field(tmp_path, monkeypatch, flag, value, changed):
+    from binalloc import bench
+
+    configs = []
+
+    def stop(config, jobs=1):
+        configs.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(bench, "run_campaign", stop)
+    for extra in ([], [flag, value]):
+        with pytest.raises(_Stop):
+            main(["bench", "--out-dir", str(tmp_path), *extra])
+    plain, flagged = configs
+    assert plain == bench.CampaignConfig()
+    assert _changed(_flat(plain), _flat(flagged)) == {changed}
 
 
 def test_sweep_writes_scaling_csv(tmp_path, capsys):

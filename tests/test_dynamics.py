@@ -528,8 +528,8 @@ def _step_by_step(flow, instance, graph, config):
             if stride > 0 and steps % stride == 0:
                 sample(state)
         iterations += steps
+        round_ends.append(state.x)
         if sched:
-            round_ends.append(state.x)
             thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
     sample(state)
     return state, iterations, samples, round_ends, thermo

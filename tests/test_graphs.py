@@ -77,7 +77,6 @@ def test_y_star_examples():
     assert np.allclose(y_star(g, [3.0, 1.0], [1.0, 0.0]), [-0.75, 0.75],
                        atol=1e-14)
     assert np.allclose(y_star(g, [3.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
-    assert np.allclose(y_star(g, [3.0, 1.0], [0.0, 0.0], kappa=2.0), [1.0, 1.0])
 
 
 def test_y_star_equilibrium_and_residual_direction():
