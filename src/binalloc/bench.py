@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import baselines, dynamics
-from .energy import Thermo
 from .errors import BinallocError, IncompleteCampaignError
 from .graphs import random_connected_graph
 from .instances import random_instance
@@ -55,6 +54,8 @@ class CampaignConfig:
             raise ValueError("trials must be >= 1")
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if self.solver.anneal is None and any(m.endswith("-da") for m in self.methods):
+            raise ValueError("annealed methods require solver.anneal to be set")
 
 
 def solve_with_method(method, instance, graph, solver, seed=None):
@@ -66,11 +67,8 @@ def solve_with_method(method, instance, graph, solver, seed=None):
     if method not in NN_METHODS:
         raise ValueError(f"unknown method {method!r}")
     flow, use_anneal = NN_METHODS[method]
-    cfg = replace(solver, seed=seed)
-    if use_anneal and cfg.anneal is None:
-        cfg = replace(cfg, anneal=dynamics.AnnealSchedule())
     solve = dynamics.anneal if use_anneal else dynamics.run
-    result = solve(flow, instance, graph if flow == "binnn-d" else None, cfg)
+    result = solve(flow, instance, graph if flow == "binnn-d" else None, replace(solver, seed=seed))
     return result.cost, result.iterations, result.converged
 
 
@@ -169,21 +167,20 @@ def q_metric(records):
 
 
 def median_step_time(method, n, steps=50, seed=0, repeats=3):
-    """Median per-step wall time of a flow at a given problem size, timing its
-    rates and advance directly (``run`` skips the steps of a frozen state)."""
+    """Median per-step wall time of a flow at a given problem size, timing the
+    integrator's step directly (``run`` skips the steps of a frozen state)."""
     flow, _ = NN_METHODS[method]
     instance = random_instance(n, seed, p_ref=15.0 * n)
     graph = random_connected_graph(n, seed=seed)
-    thermo = Thermo()
+    config = dynamics.SolverConfig(step=1e-3)
     mode = "distributed" if flow == "binnn-d" else "centralized"
     times = []
     for _ in range(repeats):
         state = dynamics.init_state(n, seed=seed, mode=mode)
         start = time.perf_counter()
-        rates = dynamics.flow_rates(flow, instance, graph, thermo, alpha=1.0)
+        rates = dynamics.flow_rates(flow, instance, graph, config.thermo, alpha=1.0)
         for _ in range(steps):
-            xdot, ydot, _ = rates(state.x, state.y)
-            state = dynamics._advance(state, xdot, ydot, 1e-3, 1e-9)
+            dynamics._step(rates, state.x, state.y, config)
         times.append((time.perf_counter() - start) / steps)
     return float(np.median(times))
 

@@ -23,7 +23,7 @@ from .instances import eval_p1, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
-_FREEZE_CHECK = 16  # steps between tests for a state that no longer moves
+_FREEZE_CHECK = 16  # steps between tests for a state that no longer moves, after steps 1, 2, 4, 8
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,23 @@ def flow_rates(flow, instance, graph, thermo, alpha):
     return rates
 
 
-def _advance(state, xdot, ydot, h, eps_clip):
-    x = np.minimum(np.maximum(state.x + h * xdot, eps_clip), 1.0 - eps_clip)  # np.clip, less overhead
-    y = None if state.y is None else state.y + h * ydot
-    return FlowState(x=x, y=y, t=state.t + h)
+def _step(rates, x, y, config):
+    """One step of the integrator, in place: the rates at (x, y), the stop test,
+    then x <- min(max(x + h*xdot, eps_clip), 1 - eps_clip) and y <- y + h*ydot
+    (h*xdot and h*ydot overwrite the rates' arrays). Returns why the flow stops
+    ("non-finite flow rate" or "converged") without moving, or None once it moved."""
+    xdot, ydot, grad = rates(x, y)
+    x_rate = float(np.abs(xdot).max())
+    y_rate = 0.0 if ydot is None else float(np.abs(ydot).max())
+    if not (math.isfinite(x_rate) and math.isfinite(y_rate)):
+        return "non-finite flow rate"
+    if x_rate < config.tol_x and y_rate < config.tol_y and float(np.abs(grad).max()) < 10.0 * config.tol_x:
+        return "converged"
+    np.add(x, np.multiply(xdot, config.step, out=xdot), out=x)
+    np.minimum(np.maximum(x, config.eps_clip, out=x), 1.0 - config.eps_clip, out=x)  # np.clip, less overhead
+    if y is not None:
+        np.add(y, np.multiply(ydot, config.step, out=ydot), out=y)
+    return None
 
 
 def agent_rates(state, instance, graph, thermo, alpha, agent):
@@ -234,49 +247,41 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
     so terminal points certify as near-critical (the velocity alone can be
     small near corners where the activation slope vanishes).
 
-    The rates read (x, y) alone, so once a step leaves them bit-for-bit
-    unchanged (tested every ``_FREEZE_CHECK`` steps) every later step of the
-    round repeats it: those steps are counted, and t and the samples taken,
-    without computing them. The result is the step-by-step loop's, exactly.
+    The round steps its own copy of (x, y) in place. The rates read (x, y)
+    alone, so once a step leaves them bit-for-bit unchanged (tested after
+    steps 1, 2, 4 and 8, then every 16) every later step of the round repeats
+    it: those steps are counted, and t and the samples taken, without
+    computing them. The result is the step-by-step loop's, exactly.
     """
     rates = flow_rates(flow, instance, graph, thermo, config.alpha)
-    h = config.step
-    stride = config.sample_stride
-    iterations = 0
-    converged = False
+    h, stride = config.step, config.sample_stride
+    x, y, t = state.x.copy(), None if state.y is None else state.y.copy(), state.t
+    iterations, stop = 0, None
     # a diverging run overflows on its way to the non-finite rate that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while state.t < t_limit - 1e-12:
-            xdot, ydot, grad = rates(state.x, state.y)
-            x_rate = float(np.abs(xdot).max())
-            y_rate = 0.0 if ydot is None else float(np.abs(ydot).max())
-            if not (math.isfinite(x_rate) and math.isfinite(y_rate)):
-                raise NumericFailureError("non-finite flow rate", state=state, trajectory=samples,
-                                          iterations=steps_before + iterations)
-            if (
-                x_rate < config.tol_x
-                and y_rate < config.tol_y
-                and float(np.abs(grad).max()) < 10.0 * config.tol_x
-            ):
-                converged = True
+        while t < t_limit - 1e-12:
+            check = (iterations + 1) % _FREEZE_CHECK == 0 or iterations + 1 in (1, 2, 4, 8)
+            if check:
+                before = x.tobytes(), None if y is None else y.tobytes()
+            stop = _step(rates, x, y, config)
+            if stop:
                 break
-            prev, state = state, _advance(state, xdot, ydot, h, config.eps_clip)
+            t += h
             iterations += 1
             if stride > 0 and iterations % stride == 0:
-                _sample(samples, instance, graph, thermo, state)
-            if (
-                iterations % _FREEZE_CHECK == 0
-                and state.x.tobytes() == prev.x.tobytes()
-                and (state.y is None or state.y.tobytes() == prev.y.tobytes())
-            ):
-                t, e = state.t, None
+                _sample(samples, instance, graph, thermo, FlowState(x, y, t))
+            if check and before == (x.tobytes(), None if y is None else y.tobytes()):
+                e = None
                 while t < t_limit - 1e-12:
                     t += h
                     iterations += 1
                     if stride > 0 and iterations % stride == 0:
-                        e = _sample(samples, instance, graph, thermo, replace(state, t=t), e)
-                state = replace(state, t=t)
-    return state, converged, iterations
+                        e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), e)
+    state = FlowState(x, y, t)
+    if stop == "non-finite flow rate":
+        raise NumericFailureError(stop, state=state, trajectory=samples,
+                                  iterations=steps_before + iterations)
+    return state, stop == "converged", iterations
 
 
 def _prepare(flow, instance, graph, config):

@@ -50,8 +50,13 @@ def activation_inv(x, temp):
 def barrier_integral(z, temp):
     """Integral of the inverse activation from 0 to z; zero at both endpoints."""
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
+    lo, hi = z.min(initial=0.5), z.max(initial=0.5)
+    # a NaN fails the quick test but no comparison, so only the full test decides
+    if not (lo >= 0.0 and hi <= 1.0) and (np.any(z < 0.0) or np.any(z > 1.0)):
         raise DomainError("barrier_integral requires z in [0,1]")
+    if lo > _ENDPOINT_GUARD and hi < 1.0 - _ENDPOINT_GUARD:  # all interior: the same values
+        vals = temp * (np.log1p(-z) - z * np.log(1.0 / z - 1.0))
+        return vals if vals.ndim else float(vals)
     interior = (z > _ENDPOINT_GUARD) & (z < 1.0 - _ENDPOINT_GUARD)
     zi = np.where(interior, z, 0.5)  # placeholder keeps logs finite
     vals = temp * (np.log1p(-zi) - zi * np.log(1.0 / zi - 1.0))

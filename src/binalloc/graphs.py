@@ -26,7 +26,9 @@ class Graph:
     n: int
     edges: tuple
     neighbors: tuple
-    arcs: tuple | None = None  # (rows, cols, degree) of the directed edges, if sparse
+    # (rows, cols, degree) of the directed edges, if sparse; on a regular graph rows
+    # is None and cols[k] holds each node's k-th neighbour in the order of ``edges``
+    arcs: tuple | None = None
 
     @cached_property
     def laplacian(self):
@@ -46,7 +48,12 @@ class Graph:
         if self.arcs is None:
             return self.laplacian @ v
         rows, cols, degree = self.arcs
-        return degree * v - np.bincount(rows, v[cols], self.n)
+        if rows is not None:
+            return degree * v - np.bincount(rows, v[cols], self.n)
+        acc = np.zeros(self.n)  # bincount's sums, from 0.0 in the same order: the same bits
+        for nbrs in cols:
+            acc += v[nbrs]
+        return degree * v - acc
 
 
 def build_graph(n, edges):
@@ -64,8 +71,11 @@ def build_graph(n, edges):
     arcs = None
     if 2 * len(edges) <= _SPARSE_FILL * n * n:
         heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-        degree = np.array([len(a) for a in adj], dtype=float)
-        arcs = (np.r_[heads, tails], np.r_[tails, heads], degree)
+        rows, cols = np.r_[heads, tails], np.r_[tails, heads]
+        degree = np.bincount(rows, minlength=n).astype(float)
+        if n and degree.min() == degree.max() > 0:  # regular: whole-vector gathers
+            rows, cols = None, cols[np.argsort(rows, kind="stable")].reshape(n, -1).T.copy()
+        arcs = (rows, cols, degree)
     return Graph(
         n=n,
         edges=edges,

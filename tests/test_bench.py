@@ -160,6 +160,16 @@ def test_campaign_config_validation():
         CampaignConfig(methods=())
 
 
+def test_annealed_methods_need_a_schedule():
+    # dynamics.anneal refuses a config without one, and so does the campaign
+    unscheduled = replace(FAST_SOLVER, anneal=None)
+    with pytest.raises(ValueError, match="anneal"):
+        CampaignConfig(methods=("hnn", "hnn-da"), solver=unscheduled)
+    assert CampaignConfig(methods=("hnn", "greedy"), solver=unscheduled).solver.anneal is None
+    with pytest.raises(ValueError, match="anneal"):
+        solve_with_method("hnn-da", random_instance(4, 0, p_ref=20.0), None, unscheduled)
+
+
 def test_solve_with_method_unknown():
     inst = random_instance(4, 0, p_ref=20.0)
     graph = random_connected_graph(4, 0.2, 0)

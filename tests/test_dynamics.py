@@ -8,7 +8,6 @@ from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc import energy as en
 from binalloc.dynamics import (
     FlowState,
-    _advance,
     agent_rates,
     flow_rates,
     init_state,
@@ -50,10 +49,17 @@ def interior_state(n, seed, with_y=False):
     return FlowState(x=x, y=y, t=0.0)
 
 
+def advance(state, xdot, ydot, h, eps_clip=1e-9):
+    """Explicit Euler with the integrator's clip to the cube, out of place."""
+    x = np.minimum(np.maximum(state.x + h * xdot, eps_clip), 1.0 - eps_clip)
+    y = None if state.y is None else state.y + h * ydot
+    return FlowState(x=x, y=y, t=state.t + h)
+
+
 def euler_step(flow, state, inst, thermo, h, graph=None, alpha=1.0):
     """One explicit Euler step of a flow, through the kernel the integrator uses."""
     xdot, ydot, _ = flow_rates(flow, inst, graph, thermo, alpha)(state.x, state.y)
-    return _advance(state, xdot, ydot, h, 1e-9)
+    return advance(state, xdot, ydot, h)
 
 
 def test_init_state_ball_and_determinism():
@@ -513,24 +519,29 @@ def _step_by_step(flow, instance, graph, config):
             samples.append((s.t, s.x, s.y, e))
 
     sample(state)
-    for _ in range(sched.steps if sched else 1):
-        t_limit = state.t + sched.t_d if sched else config.t_max
-        rates = flow_rates(flow, instance, graph, thermo, config.alpha)
-        steps = 0  # the sample stride counts the steps of a round
-        while state.t < t_limit - 1e-12:
-            xdot, ydot, g = rates(state.x, state.y)
-            y_rate = 0.0 if ydot is None else np.abs(ydot).max()
-            if (np.abs(xdot).max() < config.tol_x and y_rate < config.tol_y
-                    and np.abs(g).max() < 10.0 * config.tol_x):
-                break
-            state = _advance(state, xdot, ydot, config.step, config.eps_clip)
-            steps += 1
-            if stride > 0 and steps % stride == 0:
-                sample(state)
-        iterations += steps
-        round_ends.append(state.x)
-        if sched:
-            thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
+    # a diverging run overflows on its way to the non-finite rate that raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(sched.steps if sched else 1):
+            t_limit = state.t + sched.t_d if sched else config.t_max
+            rates = flow_rates(flow, instance, graph, thermo, config.alpha)
+            steps = 0  # the sample stride counts the steps of a round
+            while state.t < t_limit - 1e-12:
+                xdot, ydot, g = rates(state.x, state.y)
+                y_rate = 0.0 if ydot is None else np.abs(ydot).max()
+                if not np.isfinite([np.abs(xdot).max(), y_rate]).all():
+                    raise NumericFailureError("non-finite flow rate", state=state,
+                                              trajectory=samples, iterations=iterations + steps)
+                if (np.abs(xdot).max() < config.tol_x and y_rate < config.tol_y
+                        and np.abs(g).max() < 10.0 * config.tol_x):
+                    break
+                state = advance(state, xdot, ydot, config.step, config.eps_clip)
+                steps += 1
+                if stride > 0 and steps % stride == 0:
+                    sample(state)
+            iterations += steps
+            round_ends.append(state.x)
+            if sched:
+                thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
     sample(state)
     return state, iterations, samples, round_ends, thermo
 
@@ -548,10 +559,14 @@ def _assert_same_as_step_by_step(flow, instance, graph, config):
     assert result.iterations == iterations
     assert result.thermo_final == thermo
     assert [x.tobytes() for x in result.round_ends] == [x.tobytes() for x in round_ends]
-    assert len(result.trajectory) == len(samples)
-    for (t, x, y, e), (t_ref, x_ref, y_ref, e_ref) in zip(result.trajectory, samples):
-        assert (t, x.tobytes(), _bytes(y), e) == (t_ref, x_ref.tobytes(), _bytes(y_ref), e_ref)
+    _assert_same_samples(result.trajectory, samples)
     return result
+
+
+def _assert_same_samples(trajectory, samples):
+    assert len(trajectory) == len(samples)
+    for (t, x, y, e), (t_ref, x_ref, y_ref, e_ref) in zip(trajectory, samples):
+        assert (t, x.tobytes(), _bytes(y), e) == (t_ref, x_ref.tobytes(), _bytes(y_ref), e_ref)
 
 
 CAMPAIGN_SOLVER = SolverConfig(
@@ -567,7 +582,17 @@ def test_frozen_hnn_run_is_fast_forwarded_exactly(rate_calls, stride):
     cfg = replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=stride)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
     assert result.iterations == 3000
-    assert rate_calls[0] == 16  # frozen after step 1, found at the first check
+    assert rate_calls[0] == 2  # frozen after step 1, found by the check after step 2
+
+
+def test_hnn_anneal_frozen_after_step_1_is_caught_by_step_2(rate_calls):
+    # the campaign defaults again: the first step clips every coordinate, the
+    # second repeats it, and every later round starts at that corner
+    inst = random_instance(20, 3, p_ref=1500.0)
+    cfg = replace(CAMPAIGN_SOLVER, sample_stride=3)
+    result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
+    assert result.iterations == 10 * 100
+    assert rate_calls[0] == 2 + 9 * 1
 
 
 def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls):
@@ -589,6 +614,32 @@ def test_fast_forward_needs_y_frozen_too():
     pairs = list(zip(result.trajectory[1:-1], result.trajectory[2:-1]))
     assert sum(a[1].tobytes() == b[1].tobytes() for a, b in pairs) > 200
     assert all(a[2].tobytes() != b[2].tobytes() for a, b in pairs)
+
+
+def test_binnn_d_anneal_on_edge_lists_equals_step_by_step():
+    graph = named_topology("ring", 100)
+    assert graph.arcs is not None  # the O(n + |E|) Laplacian
+    inst = random_instance(100, 6, p_ref=1500.0)
+    cfg = replace(CAMPAIGN_SOLVER, sample_stride=7, anneal=AnnealSchedule(beta=1.4, t_d=1.0, steps=4))
+    result = _assert_same_as_step_by_step("binnn-d", inst, graph, cfg)
+    assert len(result.trajectory) > 10 and not result.converged
+
+
+def test_diverging_binnn_d_fails_as_step_by_step():
+    # as in test_numeric_failure_counts_the_steps_before_it, sampled
+    inst, graph = small_instance(6, seed=20), named_topology("ring", 6)
+    cfg = SolverConfig(thermo=THERMO, step=0.05, alpha=30.0, seed=6, sample_stride=3,
+                       anneal=AnnealSchedule(beta=1.4, t_d=2.0, steps=10))
+    with pytest.raises(NumericFailureError) as got:
+        anneal("binnn-d", inst, graph=graph, config=cfg)
+    with pytest.raises(NumericFailureError) as want:
+        _step_by_step("binnn-d", inst, graph, cfg)
+    got, want = got.value, want.value
+    assert got.iterations == want.iterations > 5 * 40
+    assert (got.state.t, _bytes(got.state.x), _bytes(got.state.y)) == (
+        want.state.t, _bytes(want.state.x), _bytes(want.state.y))
+    assert len(got.trajectory) > 60
+    _assert_same_samples(got.trajectory, want.trajectory)
 
 
 def test_moving_binnn_c_is_computed_step_by_step(rate_calls):

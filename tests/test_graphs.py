@@ -152,6 +152,37 @@ def test_apply_laplacian_equals_dense_product_on_both_sides(n, topology, monkeyp
     assert np.max(np.abs(g.apply_laplacian(w) - g.laplacian @ w)) <= scale
 
 
+def _arc_sum_laplacian(graph, v):
+    """L @ v as the sum over directed arcs, in the order of ``edges``, from 0.0."""
+    heads, tails = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = np.r_[heads, tails], np.r_[tails, heads]
+    return np.bincount(rows, minlength=graph.n) * v - np.bincount(rows, v[cols], graph.n)
+
+
+@pytest.mark.parametrize("name, edges, regular", [
+    ("ring", [(i, (i + 1) % 300) for i in range(300)], True),
+    ("circulant", [(i, (i + s) % 300) for i in range(300) for s in (1, 7)], True),
+    ("complete", [(i, j) for i in range(12) for j in range(i)], True),
+    ("path", [(i, i + 1) for i in range(299)], False),
+    ("star", [(0, i) for i in range(1, 300)], False),
+    ("tree", random_connected_graph(300, 0.0, seed=3).edges, False),
+    ("edgeless", [], False),
+])
+def test_apply_laplacian_keeps_the_bits_of_the_arc_sum(name, edges, regular, monkeypatch):
+    monkeypatch.setattr(graphs, "_SPARSE_FILL", 1.0)
+    n = 1 + max((max(e) for e in edges), default=4)
+    g = build_graph(n, edges)
+    assert g.arcs is not None and (g.arcs[0] is None) == regular
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(5):
+            # signed zeros, overflow and underflow: any other summation order shows
+            v = rng.normal(size=n) * rng.choice([1e-310, 1.0, 1e308], size=n)
+            v[rng.random(n) < 0.3] = -0.0
+            v[rng.random(n) < 0.1] = 0.0
+            assert g.apply_laplacian(v).tobytes() == _arc_sum_laplacian(g, v).tobytes()
+
+
 def test_build_graph_uses_edge_lists_only_on_sparse_graphs():
     ring = named_topology("ring", 2000)
     assert ring.arcs is not None
