@@ -11,12 +11,11 @@ from .dynamics import (
     run,
     terminal_diagnostics,
 )
-from .energy import Thermo, pt_inverse, pt_inverse_scalar
+from .energy import Thermo, eval_p2, pt_inverse, pt_inverse_scalar
 from .graphs import Graph, build_graph, random_connected_graph, y_star
 from .instances import (
     Instance,
     eval_p1,
-    eval_p2,
     fit_coefficients,
     load_instance,
     random_instance,

@@ -19,11 +19,12 @@ import numpy as np
 from . import energy as en
 from .errors import ConnectivityError, NumericFailureError, ShapeError
 from .graphs import is_connected
-from .instances import eval_p1, round_to_binary
+from .instances import eval_p1, residual_weight, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
 _FREEZE_CHECK = 16  # steps between tests for a state that no longer moves, after steps 1, 2, 4, 8
+_SUM_Y_RTOL = 1e-8  # bound on |sum(y)| at a binnn-d round end, relative to max(1, sum|y|)
 
 
 @dataclass(frozen=True)
@@ -127,29 +128,18 @@ def init_state(n, eps_init=0.05, seed=None, mode="centralized"):
     return FlowState(x=x, y=y, t=0.0)
 
 
-def flow_rates(flow, instance, graph, thermo, alpha):
+def flow_rates(flow, instance, graph, thermo, alpha, ctx=None):
     """The flow's vector field at fixed knobs, built once per integration round.
 
     Returns ``rates(x, y) -> (xdot, ydot, grad)``: the decision velocity,
     the auxiliary velocity (None off binnn-d) and the energy gradient that
-    the decision velocity descends.
+    the decision velocity descends. ``ctx``, the instance's ``distributed_ctx``
+    or ``centralized_ctx``, is built when not given.
     """
-    ratio = thermo.temp / thermo.time_const
     if flow == "binnn-d":
-        ctx = en.distributed_ctx(instance)
-        y_gain = -alpha * instance.penalty
-
-        def rates(x, y):
-            lap_y = graph.apply_laplacian(y)
-            gap = x - x * x
-            grad = ctx.grad(x, lap_y, ratio)
-            inverse = en.pt_inverse_scalar(ctx.hessian_diag(ratio / gap), thermo.floor)
-            xdot = inverse * (gap / thermo.temp) * -grad
-            ydot = y_gain * graph.apply_laplacian(instance.output * x + lap_y)
-            return xdot, ydot, grad
-
-        return rates
-    ctx = en.centralized_ctx(instance)
+        return (ctx or en.distributed_ctx(instance)).rates(graph, thermo, alpha)
+    ratio = thermo.temp / thermo.time_const
+    ctx = ctx or en.centralized_ctx(instance)
     newton = flow == "binnn-c"
 
     def rates(x, y):
@@ -189,35 +179,25 @@ def agent_rates(state, instance, graph, thermo, alpha, agent):
     values; the auxiliary update reads one- and two-hop data. Used to verify
     that the vectorized flow is implementable with local communication.
     """
-    i = int(agent)
-    x, y = state.x, state.y
-    ratio = thermo.temp / thermo.time_const
+    i, x, y, p = int(agent), state.x, state.y, instance.output
+    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
     nbrs = graph.neighbors[i]
 
     def lap_row(j, vec):
-        return len(graph.neighbors[j]) * vec[j] - sum(
-            vec[k] for k in graph.neighbors[j]
-        )
+        return len(graph.neighbors[j]) * vec[j] - sum(vec[k] for k in graph.neighbors[j])
 
-    bias_i = instance.quad[i] * instance.center[i] + instance.penalty * instance.output[
-        i
-    ] * (instance.target / instance.n - lap_row(i, y))
-    wdiag_i = -(instance.quad[i] + instance.penalty * instance.output[i] ** 2)
-    grad_i = -wdiag_i * x[i] - bias_i - ratio * np.log(1.0 / x[i] - 1.0)
-    hess_i = -wdiag_i + ratio / (x[i] - x[i] ** 2)
-    xdot_i = (
-        float(en.pt_inverse_scalar(hess_i, thermo.floor))
-        * (x[i] - x[i] ** 2)
-        / thermo.temp
-        * -grad_i
-    )
+    share = instance.target / instance.n - lap_row(i, y)
+    bias_i = instance.quad[i] * instance.center[i] + weight * p[i] * share
+    coupling_i = instance.quad[i] + weight * p[i] ** 2
+    grad_i = coupling_i * x[i] - bias_i - ratio * np.log(1.0 / x[i] - 1.0)
+    gap_i = x[i] - x[i] ** 2
+    inverse_i = en.pt_inverse_scalar(coupling_i + ratio / gap_i, thermo.floor)
+    xdot_i = inverse_i * gap_i / thermo.temp * -grad_i
 
     def resid(j):  # p_j x_j + (L y)_j, one hop from j
-        return instance.output[j] * x[j] + lap_row(j, y)
+        return p[j] * x[j] + lap_row(j, y)
 
-    ydot_i = -alpha * instance.penalty * (
-        len(nbrs) * resid(i) - sum(resid(j) for j in nbrs)
-    )
+    ydot_i = -alpha * weight * (len(nbrs) * resid(i) - sum(resid(j) for j in nbrs))
     return float(xdot_i), float(ydot_i)
 
 
@@ -229,12 +209,12 @@ def _jittered(thermo, rng):
     )
 
 
-def _sample(samples, instance, graph, thermo, state, e=None):
+def _sample(samples, instance, graph, thermo, state, e=None, ctx=None):
     """Append a trajectory point; ``e``, when given, is the state's known energy."""
     if e is None and state.y is None:
         e = en.energy(instance, thermo, state.x)
     elif e is None:
-        e = en.energy_tilde(instance, graph, thermo, state.x, state.y)
+        e = en.energy_tilde(instance, graph, thermo, state.x, state.y, ctx)
     samples.append((state.t, state.x.copy(), None if state.y is None else state.y.copy(), e))
     return e
 
@@ -251,9 +231,11 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
     alone, so once a step leaves them bit-for-bit unchanged (tested after
     steps 1, 2, 4 and 8, then every 16) every later step of the round repeats
     it: those steps are counted, and t and the samples taken, without
-    computing them. The result is the step-by-step loop's, exactly.
+    computing them. The result is the step-by-step loop's, exactly. On
+    binnn-d a round that ends with sum(y) drifted from its zero start fails.
     """
-    rates = flow_rates(flow, instance, graph, thermo, config.alpha)
+    ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
+    rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
     h, stride = config.step, config.sample_stride
     x, y, t = state.x.copy(), None if state.y is None else state.y.copy(), state.t
     iterations, stop = 0, None
@@ -269,16 +251,20 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
             t += h
             iterations += 1
             if stride > 0 and iterations % stride == 0:
-                _sample(samples, instance, graph, thermo, FlowState(x, y, t))
+                _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx=ctx)
             if check and before == (x.tobytes(), None if y is None else y.tobytes()):
                 e = None
                 while t < t_limit - 1e-12:
                     t += h
                     iterations += 1
                     if stride > 0 and iterations % stride == 0:
-                        e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), e)
+                        e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), e, ctx)
     state = FlowState(x, y, t)
-    if stop == "non-finite flow rate":
+    if stop != "non-finite flow rate" and y is not None:
+        total = float(y.sum())
+        if not abs(total) <= _SUM_Y_RTOL * max(1.0, float(np.abs(y).sum())):
+            stop = f"sum(y) drifted to {total:.3g}"
+    if stop not in (None, "converged"):
         raise NumericFailureError(stop, state=state, trajectory=samples,
                                   iterations=steps_before + iterations)
     return state, stop == "converged", iterations
@@ -297,12 +283,8 @@ def _prepare(flow, instance, graph, config):
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_seed, jitter_seed = ss.spawn(2)
-    state = init_state(
-        instance.n,
-        config.eps_init,
-        seed=init_seed,
-        mode="distributed" if flow == "binnn-d" else "centralized",
-    )
+    mode = "distributed" if flow == "binnn-d" else "centralized"
+    state = init_state(instance.n, config.eps_init, seed=init_seed, mode=mode)
     thermo = _jittered(config.thermo, np.random.default_rng(jitter_seed))
     return state, thermo
 
@@ -314,9 +296,7 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink):
     samples = []
     if config.sample_stride > 0:
         _sample(samples, instance, graph, thermo, state)
-    round_ends = []
-    iterations = 0
-    converged = False
+    round_ends, iterations, converged = [], 0, False
     start = time.perf_counter()
     for _ in range(rounds):
         state, converged, its = _integrate(
@@ -329,18 +309,9 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink):
     if config.sample_stride > 0:
         _sample(samples, instance, graph, thermo, state)
     bits = round_to_binary(state.x)
-    return RunResult(
-        x_final=state.x,
-        y_final=state.y,
-        bits=bits,
-        cost=eval_p1(instance, bits),
-        trajectory=samples,
-        iterations=iterations,
-        wall_time=wall,
-        converged=converged,
-        thermo_final=thermo,
-        round_ends=tuple(round_ends),
-    )
+    return RunResult(x_final=state.x, y_final=state.y, bits=bits, cost=eval_p1(instance, bits),
+                     trajectory=samples, iterations=iterations, wall_time=wall,
+                     converged=converged, thermo_final=thermo, round_ends=tuple(round_ends))
 
 
 def run(flow, instance, graph=None, config=None):
@@ -387,12 +358,8 @@ def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=1e-6):
         min_eig = float(en.distributed_ctx(instance).hessian_diag(curvature).min())
     grad_inf = float(np.max(np.abs(g)))
     certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
-    return Diagnostics(
-        grad_inf=grad_inf,
-        grad_y_inf=grad_y_inf,
-        min_hessian_eig=min_eig,
-        local_min_certified=certified,
-    )
+    return Diagnostics(grad_inf=grad_inf, grad_y_inf=grad_y_inf, min_hessian_eig=min_eig,
+                       local_min_certified=certified)
 
 
 def write_trajectory_csv(result, path):

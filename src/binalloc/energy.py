@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instances import eval_p1, eval_p2
+from .instances import _vec, eval_p1, residual_weight
 
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
@@ -119,29 +119,71 @@ def centralized_ctx(instance):
 
 @dataclass(frozen=True)
 class DistributedEnergyCtx:
-    """Cached constants of the distributed energy, separable in x given L y."""
+    """The distributed energy's one home: P2 = sum(f) + 0.5 weight |output*x + L y - target/n|^2,
+    its gradients, its diagonal Hessian in x and the fused binnn-d rates."""
 
-    coupling_diag: np.ndarray  # quad + penalty * output**2
-    penalty_output: np.ndarray  # penalty * output
+    weight: float  # residual_weight(instance)
+    half_quad: np.ndarray  # 0.5 * quad
+    center: np.ndarray
+    half_quad_center2: np.ndarray  # 0.5 * quad * center**2
+    passive: np.ndarray
+    output: np.ndarray
+    coupling_diag: np.ndarray  # quad + weight * output**2
+    weight_output: np.ndarray  # weight * output
     quad_center: np.ndarray  # quad * center
     target_share: float  # target / n
 
-    def grad(self, x, lap_y, ratio):
-        bias = self.quad_center + self.penalty_output * (self.target_share - lap_y)
-        return self.coupling_diag * x - bias - ratio * np.log(1.0 / x - 1.0)
+    def p2(self, x, lap_y):
+        agent = self.half_quad * (x - self.center) ** 2 - self.half_quad_center2 + self.passive
+        residual = self.output * x + lap_y - self.target_share
+        return float(agent.sum() + 0.5 * self.weight * float(residual @ residual))
 
-    def hessian_diag(self, barrier_curvature):
+    def grad(self, x, lap_y, ratio):
+        """The x-gradient, with ``ratio`` = temp / time_const, on two fresh arrays."""
+        part = np.subtract(self.target_share, lap_y)
+        part *= self.weight_output
+        part += self.quad_center  # the bias
+        grad = np.multiply(self.coupling_diag, x)
+        grad -= part
+        np.subtract(np.divide(1.0, x, out=part), 1.0, out=part)
+        grad -= np.multiply(np.log(part, out=part), ratio, out=part)
+        return grad
+
+    def hessian_diag(self, barrier_curvature, out=None):
         """The Hessian in x is diagonal: its diagonal, given the barrier's ratio / (x - x^2)."""
-        return self.coupling_diag + barrier_curvature
+        return np.add(self.coupling_diag, barrier_curvature, out=out)
+
+    def y_rate(self, graph, x, lap_y, gain):
+        """gain * L (output*x + L y), overwriting L y; at gain = weight, the y-gradient."""
+        lap_y += np.multiply(self.output, x)
+        rate = graph.apply_laplacian(lap_y)
+        rate *= gain
+        return rate
+
+    def rates(self, graph, thermo, alpha):
+        """The binnn-d rates ``(x, y) -> (xdot, ydot, grad)`` at fixed knobs, on fresh arrays:
+        xdot = pt_inverse_scalar(Hessian diagonal) * (x - x^2) / temp * -grad."""
+        ratio, temp, y_gain = thermo.temp / thermo.time_const, thermo.temp, -alpha * self.weight
+
+        def rates(x, y):
+            lap_y = graph.apply_laplacian(y)
+            grad = self.grad(x, lap_y, ratio)
+            gap = np.multiply(x, x)
+            np.subtract(x, gap, out=gap)
+            xdot = np.divide(ratio, gap)
+            pt_inverse_scalar(self.hessian_diag(xdot, out=xdot), thermo.floor, out=xdot)
+            gap /= -temp  # the sign of -grad, exactly
+            xdot *= gap
+            xdot *= grad
+            return xdot, self.y_rate(graph, x, lap_y, y_gain), grad
+
+        return rates
 
 
 def distributed_ctx(instance):
-    return DistributedEnergyCtx(
-        instance.quad + instance.penalty * instance.output**2,
-        instance.penalty * instance.output,
-        instance.quad * instance.center,
-        instance.target / instance.n,
-    )
+    a, b, p, w = instance.quad, instance.center, instance.output, residual_weight(instance)
+    return DistributedEnergyCtx(w, 0.5 * a, b, 0.5 * a * b**2, instance.passive, p, a + w * p**2,
+                                w * p, a * b, instance.target / instance.n)
 
 
 def energy(instance, thermo, x):
@@ -162,18 +204,24 @@ def hessian(instance, thermo, x, ctx=None):
     return ctx.hessian(thermo.temp / thermo.time_const / (x - x**2))
 
 
-def energy_tilde(instance, graph, thermo, x, y):
+def eval_p2(instance, graph, x, y, ctx=None):
+    """Distributed-form cost with auxiliary variable y over a communication graph."""
+    if graph.n != instance.n:
+        raise ShapeError(f"graph has {graph.n} nodes, instance has {instance.n}")
+    x, y = _vec(x, instance.n, "x"), _vec(y, instance.n, "y")
+    return (ctx or distributed_ctx(instance)).p2(x, graph.apply_laplacian(y))
+
+
+def energy_tilde(instance, graph, thermo, x, y, ctx=None):
+    """P2 plus barrier: the Lyapunov function of the distributed flow."""
     x = np.asarray(x, dtype=float)
     barrier = np.sum(barrier_integral(x, thermo.temp)) / thermo.time_const
-    return eval_p2(instance, graph, x, y) + barrier
+    return eval_p2(instance, graph, x, y, ctx) + barrier
 
 
 def grad_y_tilde(instance, graph, thermo, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return instance.penalty * (
-        graph.apply_laplacian(instance.output * x + graph.apply_laplacian(y))
-    )
+    ctx, lap_y = distributed_ctx(instance), graph.apply_laplacian(np.asarray(y, dtype=float))
+    return ctx.y_rate(graph, np.asarray(x, dtype=float), lap_y, ctx.weight)
 
 
 def pt_inverse(mat, floor):
@@ -358,8 +406,8 @@ def min_eig_rank_one(diag, weight):
     return float(lowest)
 
 
-def pt_inverse_scalar(h, floor):
+def pt_inverse_scalar(h, floor, out=None):
     """1x1 case, computable locally by each agent: 1/max(|h|, floor)."""
     if floor <= 0:
         raise ValueError(f"floor must be > 0, got {floor}")
-    return 1.0 / np.maximum(np.abs(h), floor)
+    return np.divide(1.0, np.maximum(np.abs(h, out=out), floor, out=out), out=out)

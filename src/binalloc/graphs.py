@@ -50,10 +50,9 @@ class Graph:
         rows, cols, degree = self.arcs
         if rows is not None:
             return degree * v - np.bincount(rows, v[cols], self.n)
-        acc = np.zeros(self.n)  # bincount's sums, from 0.0 in the same order: the same bits
-        for nbrs in cols:
-            acc += v[nbrs]
-        return degree * v - acc
+        # bincount's sums, slot by slot from 0.0 (an outer-axis reduce): the same bits
+        acc = np.add.reduce(v[cols], axis=0, initial=0.0)
+        return np.subtract(degree * v, acc, out=acc)
 
 
 def build_graph(n, edges):

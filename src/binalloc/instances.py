@@ -92,9 +92,7 @@ def fit_coefficients(incr_cost, quad, passive):
     d = _vec(passive, c.shape[0], "passive")
     zero = np.flatnonzero(a == 0.0)
     if zero.size:
-        raise InvalidCoefficientError(
-            f"quadratic coefficient is zero at index {int(zero[0])}"
-        )
+        raise InvalidCoefficientError(f"quadratic coefficient is zero at index {int(zero[0])}")
     return a, 0.5 - c / a, d
 
 
@@ -116,28 +114,15 @@ def default_quad(output, penalty, temp, time_const, margin=0.1):
 def eval_p1(instance, x):
     """Total cost: agent costs plus the squared global mismatch penalty."""
     x = _vec(x, instance.n, "x")
-    agent = (
-        0.5 * instance.quad * (x - instance.center) ** 2
-        - 0.5 * instance.quad * instance.center**2
-        + instance.passive
-    )
+    quad, center = instance.quad, instance.center
+    agent = 0.5 * quad * (x - center) ** 2 - 0.5 * quad * center**2 + instance.passive
     mismatch = float(instance.output @ x) - instance.target
     return float(agent.sum() + 0.5 * instance.penalty * mismatch**2)
 
 
-def eval_p2(instance, graph, x, y):
-    """Distributed-form cost with auxiliary variable y over a communication graph."""
-    if graph.n != instance.n:
-        raise ShapeError(f"graph has {graph.n} nodes, instance has {instance.n}")
-    x = _vec(x, instance.n, "x")
-    y = _vec(y, instance.n, "y")
-    agent = (
-        0.5 * instance.quad * (x - instance.center) ** 2
-        - 0.5 * instance.quad * instance.center**2
-        + instance.passive
-    )
-    residual = instance.output * x + graph.apply_laplacian(y) - instance.target / instance.n
-    return float(agent.sum() + 0.5 * instance.penalty * float(residual @ residual))
+def residual_weight(instance):
+    """The weight w of P2's residual term 0.5 w |output*x + L y - target/n|^2: its one home."""
+    return instance.penalty
 
 
 def round_to_binary(x):

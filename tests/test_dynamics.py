@@ -27,7 +27,7 @@ from binalloc.energy import (
 )
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError
 from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
-from binalloc.instances import Instance, random_instance
+from binalloc.instances import Instance, random_instance, residual_weight
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 
@@ -222,22 +222,97 @@ def test_binnn_d_conserves_y_sum_on_sparse_ring():
 def test_binnn_d_matches_independent_assembly():
     inst = small_instance(7, seed=9)
     graph = named_topology("random", 7, seed=4)
+    lap, gamma, p = graph.laplacian, inst.penalty, inst.output  # gamma weighs P2's residual
+    ratio = THERMO.temp / THERMO.time_const
     h = 1e-3
     for seed in range(5):
         state = interior_state(7, 20 + seed, with_y=True)
         nxt = euler_step("binnn-d", state, inst, THERMO, h=h, graph=graph)
         got_x = (nxt.x - state.x) / h
         got_y = (nxt.y - state.y) / h
-        ctx = distributed_ctx(inst)
-        ratio = THERMO.temp / THERMO.time_const
-        hd = ctx.hessian_diag(ratio / (state.x - state.x**2))
-        gx = ctx.grad(state.x, graph.laplacian @ state.y, ratio)
-        ref_x = pt_inverse_scalar(hd, THERMO.floor) * (
-            (state.x - state.x**2) / THERMO.temp
-        ) * -gx
-        ref_y = -grad_y_tilde(inst, graph, THERMO, state.x, state.y)
+        x, y = state.x, state.y
+        residual = p * x + lap @ y - inst.target / inst.n
+        gx = inst.quad * (x - inst.center) + gamma * p * residual - ratio * np.log((1 - x) / x)
+        hd = inst.quad + gamma * p**2 + ratio / (x * (1 - x))
+        ref_x = x * (1 - x) / THERMO.temp * -gx / np.maximum(np.abs(hd), THERMO.floor)
+        ref_y = -gamma * lap @ (p * x + lap @ y)
         assert np.max(np.abs(got_x - ref_x)) <= 1e-12 * (1 + np.max(np.abs(ref_x)))
         assert np.max(np.abs(got_y - ref_y)) <= 1e-12 * (1 + np.max(np.abs(ref_y)))
+
+
+def _unfused_binnn_d_rates(instance, graph, thermo, alpha):
+    """The binnn-d rates as one allocating numpy expression per quantity, the
+    form they had before the fused kernel: its byte-for-byte reference."""
+    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
+    coupling_diag = instance.quad + weight * instance.output**2
+    weight_output, quad_center = weight * instance.output, instance.quad * instance.center
+    target_share, y_gain = instance.target / instance.n, -alpha * weight
+
+    def rates(x, y):
+        lap_y = graph.apply_laplacian(y)
+        gap = x - x * x
+        bias = quad_center + weight_output * (target_share - lap_y)
+        grad = coupling_diag * x - bias - ratio * np.log(1.0 / x - 1.0)
+        inverse = pt_inverse_scalar(coupling_diag + ratio / gap, thermo.floor)
+        xdot = inverse * (gap / thermo.temp) * -grad
+        ydot = y_gain * graph.apply_laplacian(instance.output * x + lap_y)
+        return xdot, ydot, grad
+
+    return rates
+
+
+def test_fused_binnn_d_rates_equal_unfused_bytes_on_every_laplacian():
+    graphs = {  # by the path Graph.apply_laplacian takes
+        "dense": random_connected_graph(20, seed=3),
+        "regular gathers": named_topology("ring", 2000),
+        "bincount": named_topology("path", 100),
+        "bincount, irregular": random_connected_graph(300, 0.005, seed=4),
+    }
+    assert graphs["dense"].arcs is None and graphs["regular gathers"].arcs[0] is None
+    assert all(graphs[name].arcs[0] is not None for name in ("bincount", "bincount, irregular"))
+    assert len(set(map(len, graphs["bincount, irregular"].neighbors))) > 2
+    # the second knobs put the floor of the PT-inverse to work
+    knobs = ((THERMO, 1.0), (Thermo(temp=0.5, time_const=0.25, floor=1.5), 0.3))
+    floored = 0
+    for k, graph in enumerate(graphs.values()):
+        inst = small_instance(graph.n, seed=30 + k)
+        rng = np.random.default_rng(40 + k)
+        x, y = rng.uniform(1e-4, 1.0 - 1e-4, graph.n), rng.normal(scale=2.0, size=graph.n)
+        x_in, y_in = x.copy(), y.copy()
+        for thermo, alpha in knobs:
+            fused = flow_rates("binnn-d", inst, graph, thermo, alpha)
+            got, again = fused(x, y), fused(x, y)
+            want = _unfused_binnn_d_rates(inst, graph, thermo, alpha)(x, y)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            assert [a.tobytes() for a in again] == [b.tobytes() for b in want]
+            # the integrator overwrites what it gets: each call returns fresh arrays
+            assert not any(np.shares_memory(a, b) for a in got for b in again + (x, y))
+            ratio = thermo.temp / thermo.time_const
+            hd = distributed_ctx(inst).hessian_diag(ratio / (x - x * x))
+            floored += int(np.sum(np.abs(hd) < thermo.floor))
+        assert x.tobytes() == x_in.tobytes() and y.tobytes() == y_in.tobytes()
+    assert floored > 0
+
+
+def test_binnn_d_round_end_checks_that_sum_y_is_conserved():
+    inst, ring = small_instance(6, seed=3), named_topology("ring", 6)
+
+    class LeakyRing:  # its Laplacian product does not conserve the sum
+        n, neighbors = ring.n, ring.neighbors
+
+        def apply_laplacian(self, v):
+            return ring.apply_laplacian(v) + 1e-3
+
+    cfg = SolverConfig(thermo=THERMO, step=0.01, t_max=0.5, seed=0, sample_stride=10,
+                       anneal=AnnealSchedule(t_d=0.2, steps=3))
+    for solve, steps in ((run, 50), (anneal, 20)):
+        with pytest.raises(NumericFailureError, match=r"sum\(y\) drifted") as exc:
+            solve("binnn-d", inst, LeakyRing(), cfg)
+        failure = exc.value
+        assert failure.iterations == steps and failure.state.t == pytest.approx(steps * 0.01)
+        assert abs(failure.state.y.sum()) > 1e-8 * max(1.0, np.abs(failure.state.y).sum())
+        assert len(failure.trajectory) == 1 + steps // 10
+        solve("binnn-d", inst, ring, cfg)  # the ring itself conserves it
 
 
 def test_agent_rates_match_vectorized_and_stay_local():
