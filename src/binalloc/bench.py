@@ -11,9 +11,10 @@ import numpy as np
 from . import baselines, dynamics
 from .errors import BinallocError, IncompleteCampaignError
 from .graphs import random_connected_graph
-from .instances import random_instance
+from .instances import DEFAULT_GAMMA, DEFAULT_P_REF, random_instance
 
 COST_TIE_TOL = 1e-9
+_SWEEP_P_REF_PER_AGENT = 15.0  # the timing and sweep instances' target grows with n
 
 # Neural method name -> (flow, annealed): every flow, and with "-da" its annealed run.
 NN_METHODS = {
@@ -41,8 +42,8 @@ class CampaignConfig:
     trials: int = 100
     seed: int = 0
     methods: tuple = DEFAULT_METHODS
-    p_ref: float = 1500.0
-    gamma: float = 1.0
+    p_ref: float = DEFAULT_P_REF
+    gamma: float = DEFAULT_GAMMA
     solver: dynamics.SolverConfig = field(
         default_factory=lambda: dynamics.SolverConfig(
             step=0.02, t_max=60.0, sample_stride=0, anneal=dynamics.AnnealSchedule(t_d=2.0)
@@ -88,17 +89,7 @@ def _run_trial(config, trial, tss):
             cost, converged, error = float("inf"), False, type(exc).__name__
             iterations = getattr(exc, "iterations", 0)  # how far a diverged flow got
         wall = time.perf_counter() - start
-        records.append(
-            TrialRecord(
-                trial=trial,
-                method=method,
-                cost=cost,
-                wall_time=wall,
-                iterations=iterations,
-                converged=converged,
-                error=error,
-            )
-        )
+        records.append(TrialRecord(trial, method, cost, wall, iterations, converged, error))
     return records
 
 
@@ -170,7 +161,7 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing the
     integrator's step directly (``run`` skips the steps of a frozen state)."""
     flow, _ = NN_METHODS[method]
-    instance = random_instance(n, seed, p_ref=15.0 * n)
+    instance = random_instance(n, seed, p_ref=_SWEEP_P_REF_PER_AGENT * n)
     graph = random_connected_graph(n, seed=seed)
     config = dynamics.SolverConfig(step=1e-3)
     mode = "distributed" if flow == "binnn-d" else "centralized"
@@ -195,7 +186,7 @@ def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, solver=None):
         if not sized:
             continue
         config = CampaignConfig(n=n, trials=per_n_trials, seed=[seed, n], methods=sized,
-                                p_ref=15.0 * n, solver=solver)
+                                p_ref=_SWEEP_P_REF_PER_AGENT * n, solver=solver)
         records = run_campaign(config)
         for method in sized:
             times = [r.wall_time for r in records if r.method == method and not r.error]

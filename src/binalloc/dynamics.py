@@ -110,7 +110,7 @@ class Diagnostics:
     local_min_certified: bool
 
 
-def init_state(n, eps_init=0.05, seed=None, mode="centralized"):
+def init_state(n, eps_init=SolverConfig.eps_init, seed=None, mode="centralized"):
     """Uniform start in the ball of radius eps_init around the cube center.
 
     Samples the ball directly (unit direction times a radius with the
@@ -232,7 +232,7 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
     steps 1, 2, 4 and 8, then every 16) every later step of the round repeats
     it: those steps are counted, and t and the samples taken, without
     computing them. The result is the step-by-step loop's, exactly. On
-    binnn-d a round that ends with sum(y) drifted from its zero start fails.
+    binnn-d a round that ends with sum(y) non-finite or drifted from zero fails.
     """
     ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
     rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
@@ -259,11 +259,13 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
                     iterations += 1
                     if stride > 0 and iterations % stride == 0:
                         e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), e, ctx)
+        if stop != "non-finite flow rate" and y is not None:
+            total = float(y.sum())
+            if not math.isfinite(total):  # y left the reals; x is clipped into the cube
+                stop = "non-finite state at the round end"
+            elif not abs(total) <= _SUM_Y_RTOL * max(1.0, float(np.abs(y).sum())):
+                stop = f"sum(y) drifted to {total:.3g}"
     state = FlowState(x, y, t)
-    if stop != "non-finite flow rate" and y is not None:
-        total = float(y.sum())
-        if not abs(total) <= _SUM_Y_RTOL * max(1.0, float(np.abs(y).sum())):
-            stop = f"sum(y) drifted to {total:.3g}"
     if stop not in (None, "converged"):
         raise NumericFailureError(stop, state=state, trajectory=samples,
                                   iterations=steps_before + iterations)
@@ -335,7 +337,7 @@ def anneal(flow, instance, graph=None, config=None):
     return _solve(flow, instance, graph, config, sched.steps, sched.t_d, sched.shrink)
 
 
-def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=1e-6):
+def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=SolverConfig.tol_x):
     """Gradient norm and Hessian spectrum at the terminal point.
 
     The gradients come from the rates kernel ("hnn" for a centralized

@@ -11,6 +11,7 @@ from .errors import ConnectivityError, InvalidGraphError, ShapeError
 
 # Eigenvalues of the Laplacian below this are treated as the zero mode.
 _NULL_EIG_TOL = 1e-10
+_EXTRA_EDGE_FRACTION = 0.2  # share of the non-tree pairs a random graph adds, by default
 # Fill of the n*n Laplacian up to which L @ v uses edge lists; an arc costs ~24 BLAS entries.
 _SPARSE_FILL = 1.0 / 32.0
 
@@ -124,7 +125,7 @@ def y_star(graph, output, x):
     return -pseudo_inverse(graph) @ (output * x)
 
 
-def random_connected_graph(n, extra_edge_fraction=0.2, seed=None):
+def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=None):
     """Random spanning tree plus a fraction of the remaining pairs as extra edges.
 
     Fraction 0 gives a tree; fraction 1 gives the complete graph. Always
@@ -153,7 +154,7 @@ def random_connected_graph(n, extra_edge_fraction=0.2, seed=None):
     return build_graph(n, edges)
 
 
-def named_topology(name, n, seed=None, extra_edge_fraction=0.2):
+def named_topology(name, n, seed=None, extra_edge_fraction=_EXTRA_EDGE_FRACTION):
     """Graphs by name: ring, path, complete, or random (seeded)."""
     if name == "path":
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])

@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConnectivityError, InvalidCoefficientError, ShapeError
 from .graphs import build_graph, is_connected
 
-# (temperature, time constant) at which generated quadratic costs are bistable:
-# the default Thermo's knobs, which this module cannot import.
-_BISTABLE_AT = (1.0, 0.1)
+# random_instance's target output and penalty; the campaign and from_json_dict read them
+DEFAULT_P_REF = 1500.0
+DEFAULT_GAMMA = 1.0
 
 
 def _vec(values, n=None, name="vector"):
@@ -96,19 +96,19 @@ def fit_coefficients(incr_cost, quad, passive):
     return a, 0.5 - c / a, d
 
 
-def default_quad(output, penalty, temp, time_const, margin=0.1):
-    """Quadratic coefficients steep enough for bistable flows at the given knobs.
+def default_quad(output, penalty):
+    """Quadratic coefficients steep enough, by a 10% margin, for bistable flows
+    at the default ``Thermo`` knobs, read at call time.
 
     Uses the global output norm, so the value also meets each agent's own
     (distributed) condition.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    if temp <= 0 or time_const <= 0:
-        raise ValueError("temp and time_const must be > 0")
+    from .energy import Thermo  # energy imports this module
+
+    knobs = Thermo()
     p = _vec(output, name="output")
-    level = penalty * float(p @ p) + 4.0 * temp / time_const
-    return np.full(p.shape[0], -level * (1.0 + margin))
+    level = penalty * float(p @ p) + 4.0 * knobs.temp / knobs.time_const
+    return np.full(p.shape[0], -level * 1.1)
 
 
 def eval_p1(instance, x):
@@ -136,8 +136,8 @@ def random_instance(
     seed,
     p_range=(1.0, 50.0),
     exponent_range=(2.0, 3.0),
-    p_ref=1500.0,
-    gamma=1.0,
+    p_ref=DEFAULT_P_REF,
+    gamma=DEFAULT_GAMMA,
 ):
     """Draw outputs uniformly and set on-costs to a random power of each output.
 
@@ -152,7 +152,7 @@ def random_instance(
     p = rng.uniform(lo, hi, size=n)
     e = rng.uniform(exponent_range[0], exponent_range[1], size=n)
     c = p**e
-    a = default_quad(p, gamma, *_BISTABLE_AT)
+    a = default_quad(p, gamma)
     a, b, d = fit_coefficients(c, a, np.zeros(n))
     return Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
 
@@ -187,7 +187,7 @@ def from_json_dict(doc):
     """
     n = int(doc["n"])
     p = _vec(doc["p"], n, "p")
-    gamma = float(doc.get("gamma", 1.0))
+    gamma = float(doc.get("gamma", DEFAULT_GAMMA))
     p_ref = float(doc.get("p_ref", 0.0))
     d = _vec(doc.get("d", np.zeros(n)), n, "d")
     if "a" in doc and "b" in doc:
@@ -195,7 +195,7 @@ def from_json_dict(doc):
         b = _vec(doc["b"], n, "b")
     elif "c" in doc:
         c = _vec(doc["c"], n, "c")
-        a = default_quad(p, gamma, *_BISTABLE_AT)
+        a = default_quad(p, gamma)
         a, b, d = fit_coefficients(c, a, d)
     else:
         raise ShapeError("instance JSON needs either 'a'+'b' or 'c'")

@@ -43,7 +43,7 @@ def symmetric_instance():
         from binalloc.instances import default_quad
 
         p = np.ones(n)
-        a = default_quad(p, 1.0, temp=1.0, time_const=0.1)
+        a = default_quad(p, 1.0)
         a, b, d = fit_coefficients(np.full(n, incr), a, np.zeros(n))
         return Instance(
             quad=a, center=b, passive=d, output=p, penalty=1.0, target=n / 2

@@ -292,7 +292,7 @@ def test_criterion_8_saddle_escape():
     start = time.perf_counter()
     n = 10
     p = np.ones(n)
-    a = default_quad(p, 1.0, temp=1.0, time_const=0.1)
+    a = default_quad(p, 1.0)
     a, b, d = fit_coefficients(np.full(n, 0.5), a, np.zeros(n))
     inst = Instance(quad=a, center=b, passive=d, output=p, penalty=1.0,
                     target=n / 2)

@@ -1,10 +1,10 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, Thermo, baselines, dynamics
+from binalloc import AnnealSchedule, Instance, SolverConfig, Thermo, baselines, bench, dynamics
 from binalloc.bench import (
     NN_METHODS,
     CampaignConfig,
@@ -115,6 +115,23 @@ def test_campaign_greedy_vs_brute():
     assert len(records) == 2
     by = {r.method: r for r in records}
     assert by["greedy"].cost >= by["brute"].cost - 1e-9
+
+
+def test_default_campaign_trial_draws_the_default_instance(monkeypatch):
+    drawn = []
+
+    def recording(n, seed, **kwargs):
+        instance = random_instance(n, seed, **kwargs)
+        drawn.append((instance, random_instance(n, seed)))
+        return instance
+
+    monkeypatch.setattr(bench, "random_instance", recording)
+    run_campaign(CampaignConfig(n=6, trials=2, methods=("greedy", "brute")))
+    assert len(drawn) == 2
+    for got, default in drawn:
+        for f in fields(Instance):
+            assert np.asarray(getattr(got, f.name)).tobytes() == \
+                np.asarray(getattr(default, f.name)).tobytes(), f.name
 
 
 def test_campaign_deterministic():

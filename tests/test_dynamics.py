@@ -315,6 +315,23 @@ def test_binnn_d_round_end_checks_that_sum_y_is_conserved():
         solve("binnn-d", inst, ring, cfg)  # the ring itself conserves it
 
 
+def test_binnn_d_round_end_with_a_non_finite_state_fails():
+    inst, ring = small_instance(6, seed=3), named_topology("ring", 6)
+
+    class FloodedRing:  # a finite, constant product: the rates stay finite while y overflows
+        n, neighbors = ring.n, ring.neighbors
+
+        def apply_laplacian(self, v):
+            return np.full(self.n, 1e308)
+
+    cfg = SolverConfig(thermo=THERMO, step=0.1, t_max=3.0, seed=0, sample_stride=0)
+    with pytest.raises(NumericFailureError, match="non-finite state") as exc:
+        run("binnn-d", inst, FloodedRing(), cfg)
+    failure = exc.value
+    assert failure.iterations == 30 and np.all(failure.state.y == -np.inf)
+    assert np.all(np.isfinite(failure.state.x))
+
+
 def test_agent_rates_match_vectorized_and_stay_local():
     # path-7 keeps a dense Laplacian; ring-64 (128 arcs, 1/32 fill) uses edge lists
     for n, topology, sparse in ((7, "path", False), (64, "ring", True)):

@@ -372,8 +372,14 @@ def test_pt_inverse_rank_one_matches_dense_on_random_data():
 
 def _secular_layouts():
     """(poles, weights) with 4 to 11 poles in the layouts the flows produce."""
-    rng = np.random.default_rng(41)
+    rng, own = np.random.default_rng(41), np.random.default_rng(43)
     for m in range(4, 12):
+        # an anneal at n=200: every agent has the same quad, so the poles cluster
+        # near it 1e-7 apart (relative), with a tail of almost-clipped coordinates
+        tail = m // 3
+        cluster = -1.9e5 * (1.0 - 1e-7 * np.cumsum(own.uniform(0.5, 1.5, m - tail)))
+        yield np.concatenate([cluster, np.sort(1.9e9 * own.uniform(1e-4, 1.0, tail))]), \
+            own.uniform(1.0, 2500.0, m)
         yield np.linspace(1.0, 2.0, m), rng.uniform(0.01, 1.0, m)
         yield np.sort(rng.uniform(-50.0, 50.0, m)), rng.uniform(0.1, 10.0, m)
         # coordinates clipped to a corner put their poles near 1e10

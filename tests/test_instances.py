@@ -5,6 +5,8 @@ import pytest
 
 from binalloc import (
     Instance,
+    SolverConfig,
+    Thermo,
     eval_p1,
     eval_p2,
     fit_coefficients,
@@ -57,17 +59,24 @@ def test_fit_roundtrip_incr_cost():
 
 
 def test_default_quad_examples():
-    a = default_quad([3.0, 1.0], 4.0, temp=1.0, time_const=0.1, margin=0.0)
-    assert np.allclose(a, [-80.0, -80.0], atol=1e-12)
-    a = default_quad([1.0], 1.0, temp=1.0, time_const=1.0, margin=0.0)
-    assert a[0] == pytest.approx(-5.0, abs=1e-12)
+    # 1.1 * (penalty * |p|^2 + 4 * temp / time_const) at the default knobs T=1, tau=0.1
+    a = default_quad([3.0, 1.0], 4.0)
+    assert np.allclose(a, [-88.0, -88.0], atol=1e-12)
+    a = default_quad([1.0], 1.0)
+    assert a[0] == pytest.approx(-45.1, abs=1e-12)
 
 
-def test_default_quad_rejects_bad_args():
-    with pytest.raises(ValueError):
-        default_quad([1.0], 1.0, 1.0, 1.0, margin=-0.5)
-    with pytest.raises(ValueError):
-        default_quad([1.0], 1.0, 0.0, 1.0)
+def test_default_quad_reads_the_default_thermo_knobs(monkeypatch):
+    # one edit to Thermo's defaults reaches the generator and the solver alike
+    doc = {"n": 2, "p": [3.0, 1.0], "c": [1.0, 2.0], "gamma": 4.0}
+    before = random_instance(5, 0)
+    monkeypatch.setattr(Thermo.__init__, "__defaults__", (2.0, 0.5, 0.1))
+    assert SolverConfig().thermo == Thermo(2.0, 0.5, 0.1)
+    inst = random_instance(5, 0)
+    assert not np.array_equal(inst.quad, before.quad)
+    assert np.array_equal(inst.quad, default_quad(inst.output, inst.penalty))
+    assert np.array_equal(from_json_dict(doc)[0].quad, default_quad(doc["p"], 4.0))
+    assert np.allclose(default_quad([3.0, 1.0], 4.0), [-61.6, -61.6], atol=1e-12)
 
 
 def test_eval_p1_examples(two_agent):
