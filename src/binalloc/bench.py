@@ -59,18 +59,16 @@ class CampaignConfig:
             raise ValueError("annealed methods require solver.anneal to be set")
 
 
-def solve_with_method(method, instance, graph, solver, seed=None):
-    """Dispatch one named method. Returns (cost, iterations, converged)."""
+def solve_with_method(method, instance, graph, solver):
+    """Solve by one named method, seeded by ``solver.seed``. A flow, or with
+    "-da" its anneal, returns its RunResult; a baseline its SetSolution."""
     if method in baselines.SOLVERS:
-        sol = baselines.SOLVERS[method](instance)
-        iterations = 1 << instance.n if method == "brute" else len(sol.chosen) + 1
-        return sol.cost, iterations, True
+        return baselines.SOLVERS[method](instance)
     if method not in NN_METHODS:
         raise ValueError(f"unknown method {method!r}")
     flow, use_anneal = NN_METHODS[method]
     solve = dynamics.anneal if use_anneal else dynamics.run
-    result = solve(flow, instance, graph if flow == "binnn-d" else None, replace(solver, seed=seed))
-    return result.cost, result.iterations, result.converged
+    return solve(flow, instance, graph if flow == "binnn-d" else None, solver)
 
 
 def _run_trial(config, trial, tss):
@@ -81,10 +79,12 @@ def _run_trial(config, trial, tss):
     for k, method in enumerate(config.methods):
         start = time.perf_counter()
         try:
-            cost, iterations, converged = solve_with_method(
-                method, instance, graph, config.solver, seed=parts[2 + k]
-            )
-            error = ""
+            result = solve_with_method(method, instance, graph, replace(config.solver, seed=parts[2 + k]))
+            if isinstance(result, dynamics.RunResult):
+                iterations, converged = result.iterations, result.converged
+            else:  # a baseline: greedy's additions plus one, or every subset
+                iterations, converged = (1 << instance.n if method == "brute" else len(result.chosen) + 1), True
+            cost, error = result.cost, ""
         except BinallocError as exc:
             cost, converged, error = float("inf"), False, type(exc).__name__
             iterations = getattr(exc, "iterations", 0)  # how far a diverged flow got

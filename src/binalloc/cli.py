@@ -14,7 +14,6 @@ from .errors import BinallocError
 from .graphs import build_graph, named_topology
 from .instances import load_instance, random_instance, save_instance
 
-SOLVE_METHODS = dynamics.FLOW_KINDS + tuple(baselines.SOLVERS) + ("round",)
 CAMPAIGN_METHODS = tuple(bench.NN_METHODS) + tuple(baselines.SOLVERS)
 _OMIT = argparse.SUPPRESS  # a flag not given stays out of args: the library default applies
 
@@ -44,7 +43,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--tol", type=float, default=_OMIT, help="velocity tolerance of x and y")
     sub.add_argument("--eps-init", type=float, default=_OMIT)
     sub.add_argument("--seed", type=int, default=_OMIT)
-    sub.add_argument("--anneal", action="store_true", help="enable the learning schedule")
     sub.add_argument("--beta", type=float, default=_OMIT)
     sub.add_argument("--steps", type=int, default=_OMIT)
     sub.add_argument("--td", dest="t_d", type=float, default=_OMIT,
@@ -53,13 +51,10 @@ def _add_solver_flags(sub):
 
 
 def _solver_config(args):
-    anneal = None
-    if args.anneal:
-        anneal = dynamics.AnnealSchedule(**_given(args, "beta", "t_d", "steps", "knob"))
     tol = {"tol_x": args.tol, "tol_y": args.tol} if "tol" in args else {}
     return dynamics.SolverConfig(
         thermo=Thermo(**_given(args, "temp", "time_const", "floor")),
-        anneal=anneal,
+        anneal=dynamics.AnnealSchedule(**_given(args, "beta", "t_d", "steps", "knob")),
         **tol,
         **_given(args, "alpha", "step", "eps_init", "t_max", "seed"),
     )
@@ -90,26 +85,19 @@ def _graph_for(args, n, edges):
 
 def _cmd_solve(args):
     instance, edges = load_instance(args.instance)
-    method = args.method
-    cfg = _solver_config(args)
-    if method not in dynamics.FLOW_KINDS:
-        if method == "round":
-            frac = np.loadtxt(args.frac_point, delimiter=",").ravel()
-            sol = baselines.round_relaxed(frac, instance)
-        else:
-            sol = baselines.SOLVERS[method](instance)
-        bits = sol.bits(instance.n)
-        print(f"method: {method}")
-        print(f"bits: {''.join(map(str, bits))}")
-        print(f"cost: {sol.cost:.12g}")
-        return 0
-    graph = _graph_for(args, instance.n, edges) if method == "binnn-d" else None
-    solver = dynamics.anneal if args.anneal else dynamics.run
-    result = solver(method, instance, graph, cfg)
-    diag = dynamics.terminal_diagnostics(result, instance, graph=graph, tol_x=cfg.tol_x)
-    print(f"method: {method}{'-da' if args.anneal else ''}")
-    print(f"bits: {''.join(map(str, result.bits))}")
+    method, cfg = args.method, _solver_config(args)
+    graph = _graph_for(args, instance.n, edges) if method.startswith("binnn-d") else None
+    if method == "round":
+        result = baselines.round_relaxed(np.loadtxt(args.frac_point, delimiter=",").ravel(), instance)
+    else:
+        result = bench.solve_with_method(method, instance, graph, cfg)
+    flow_run = isinstance(result, dynamics.RunResult)
+    print(f"method: {method}")
+    print(f"bits: {''.join(map(str, result.bits if flow_run else result.bits(instance.n)))}")
     print(f"cost: {result.cost:.12g}")
+    if not flow_run:  # a baseline or a rounding has no trajectory to diagnose
+        return 0
+    diag = dynamics.terminal_diagnostics(result, instance, graph=graph, tol_x=cfg.tol_x)
     print(f"iterations: {result.iterations}")
     print(f"wall_time: {result.wall_time:.6g}")
     print(f"converged: {result.converged}")
@@ -170,7 +158,7 @@ def build_parser():
 
     solve = subs.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance")
-    solve.add_argument("--method", choices=SOLVE_METHODS, required=True)
+    solve.add_argument("--method", choices=CAMPAIGN_METHODS + ("round",), required=True)
     solve.add_argument("--frac-point", help="CSV fractional point for --method round")
     solve.add_argument("--topology", choices=("ring", "path", "complete", "random"))
     solve.add_argument("--graph-seed", type=int, default=0)

@@ -51,10 +51,10 @@ class AnnealSchedule:
     knob: str = "tau-up"
 
     def __post_init__(self):
-        if self.beta <= 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
-        if self.t_d <= 0 or self.steps < 1:
-            raise ValueError("t_d must be > 0 and steps >= 1")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
+        if not 0 < self.t_d < math.inf or self.steps < 1:
+            raise ValueError("t_d must be finite and > 0, and steps >= 1")
         if self.knob not in ("tau-up", "T-down"):
             raise ValueError(f"unknown knob {self.knob!r}")
 
@@ -80,12 +80,12 @@ class SolverConfig:
     sample_stride: int = 10  # trajectory sample every this many steps; 0 disables
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.tol_x <= 0 or self.tol_y <= 0:
-            raise ValueError("tolerances must be > 0")
-        if not 0 < self.eps_init < 0.5:
-            raise ValueError("eps_init must be in (0, 0.5)")
+        if not all(0 < v < math.inf for v in (self.step, self.alpha, self.tol_x, self.tol_y)):
+            raise ValueError("step, alpha and the tolerances must be finite and > 0")
+        if not 0 <= self.t_max < math.inf or self.sample_stride < 0:
+            raise ValueError("t_max must be finite and >= 0, and sample_stride >= 0")
+        if not (0 < self.eps_init < 0.5 and 0 <= self.eps_clip < 0.5):
+            raise ValueError("eps_init must be in (0, 0.5) and eps_clip in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,9 @@ def _sample(samples, instance, graph, thermo, state, e=None, ctx=None):
     return e
 
 
-def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, steps_before=0):
-    """Advance until the flow stalls or the time limit is hit (a failure also
-    counts ``steps_before``, an anneal's earlier rounds).
+def _integrate(flow, instance, graph, state, thermo, config, steps, samples, steps_before=0):
+    """Advance until the flow stalls or ``steps`` steps are taken (a failure
+    also counts ``steps_before``, an anneal's earlier rounds).
 
     Convergence requires both a small velocity and a small energy gradient,
     so terminal points certify as near-critical (the velocity alone can be
@@ -241,7 +241,7 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
     iterations, stop = 0, None
     # a diverging run overflows on its way to the non-finite rate that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while t < t_limit - 1e-12:
+        while iterations < steps:
             check = (iterations + 1) % _FREEZE_CHECK == 0 or iterations + 1 in (1, 2, 4, 8)
             if check:
                 before = x.tobytes(), None if y is None else y.tobytes()
@@ -254,7 +254,7 @@ def _integrate(flow, instance, graph, state, thermo, config, t_limit, samples, s
                 _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx=ctx)
             if check and before == (x.tobytes(), None if y is None else y.tobytes()):
                 e = None
-                while t < t_limit - 1e-12:
+                while iterations < steps:
                     t += h
                     iterations += 1
                     if stride > 0 and iterations % stride == 0:
@@ -293,8 +293,10 @@ def _prepare(flow, instance, graph, config):
 
 def _solve(flow, instance, graph, config, rounds, duration, shrink):
     """Integrate ``rounds`` rounds of ``duration`` simulated time each, applying
-    ``shrink`` to the knobs after every round. The state carries over."""
+    ``shrink`` to the knobs after every round. The state carries over. A round
+    is ceil(duration / h) steps, counted: t, summed one h at a time, drifts."""
     state, thermo = _prepare(flow, instance, graph, config)
+    steps = math.ceil(duration / config.step - 1e-9)
     samples = []
     if config.sample_stride > 0:
         _sample(samples, instance, graph, thermo, state)
@@ -302,7 +304,7 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink):
     start = time.perf_counter()
     for _ in range(rounds):
         state, converged, its = _integrate(
-            flow, instance, graph, state, thermo, config, state.t + duration, samples, iterations
+            flow, instance, graph, state, thermo, config, steps, samples, iterations
         )
         iterations += its
         round_ends.append(state.x.copy())

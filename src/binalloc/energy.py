@@ -36,8 +36,8 @@ class Thermo:
     floor: float = 0.1
 
     def __post_init__(self):
-        if self.temp <= 0 or self.time_const <= 0 or self.floor <= 0:
-            raise ValueError("temp, time_const and floor must all be > 0")
+        if not all(0 < v < np.inf for v in (self.temp, self.time_const, self.floor)):
+            raise ValueError("temp, time_const and floor must all be finite and > 0")
 
 
 def activation_inv(x, temp):

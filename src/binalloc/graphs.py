@@ -133,6 +133,8 @@ def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=Non
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= extra_edge_fraction <= 1:
+        raise ValueError(f"extra_edge_fraction must be in [0, 1], got {extra_edge_fraction}")
     rng = np.random.default_rng(seed)
     edges = set()
     order = rng.permutation(n)
@@ -148,7 +150,6 @@ def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=Non
         ]
         if rest:
             take = int(round(extra_edge_fraction * len(rest)))
-            take = min(take, len(rest))
             idx = rng.choice(len(rest), size=take, replace=False)
             edges.update(rest[k] for k in idx)
     return build_graph(n, edges)

@@ -188,7 +188,7 @@ def from_json_dict(doc):
     n = int(doc["n"])
     p = _vec(doc["p"], n, "p")
     gamma = float(doc.get("gamma", DEFAULT_GAMMA))
-    p_ref = float(doc.get("p_ref", 0.0))
+    p_ref = float(doc.get("p_ref", DEFAULT_P_REF))
     d = _vec(doc.get("d", np.zeros(n)), n, "d")
     if "a" in doc and "b" in doc:
         a = _vec(doc["a"], n, "a")

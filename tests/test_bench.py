@@ -19,7 +19,6 @@ from binalloc.bench import (
     write_sweep_csv,
 )
 from binalloc.cli import build_parser
-from binalloc.dynamics import FLOW_KINDS
 from binalloc.errors import IncompleteCampaignError
 from binalloc.graphs import random_connected_graph
 from binalloc.instances import random_instance
@@ -115,6 +114,8 @@ def test_campaign_greedy_vs_brute():
     assert len(records) == 2
     by = {r.method: r for r in records}
     assert by["greedy"].cost >= by["brute"].cost - 1e-9
+    # a baseline's record counts its work: greedy's additions plus one, or every subset
+    assert by["greedy"].iterations >= 1 and by["brute"].iterations == 1 << 8
 
 
 def test_default_campaign_trial_draws_the_default_instance(monkeypatch):
@@ -200,12 +201,16 @@ def test_every_registered_method_solves():
     inst = random_instance(4, 0, p_ref=20.0)
     graph = random_connected_graph(4, 0.2, 0)
     solver = replace(FAST_SOLVER, step=0.005, t_max=1.0)
-    for method in (*NN_METHODS, *baselines.SOLVERS):
-        cost, iterations, _ = solve_with_method(method, inst, graph, solver, seed=1)
-        assert np.isfinite(cost) and iterations >= 1
+    for method in NN_METHODS:
+        result = solve_with_method(method, inst, graph, replace(solver, seed=1))
+        assert np.isfinite(result.cost) and result.iterations >= 1
+    for method in baselines.SOLVERS:
+        result = solve_with_method(method, inst, graph, solver)
+        assert np.isfinite(result.cost) and isinstance(result, baselines.SetSolution)
+    # binalloc solve takes the same names, and a fractional point to round
     solve = build_parser()._subparsers._group_actions[0].choices["solve"]
     choices = solve._option_string_actions["--method"].choices
-    assert tuple(choices) == FLOW_KINDS + tuple(baselines.SOLVERS) + ("round",)
+    assert tuple(choices) == tuple(NN_METHODS) + tuple(baselines.SOLVERS) + ("round",)
 
 
 def test_median_step_time_positive():

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig
+from binalloc import AnnealSchedule, SolverConfig, anneal
 from binalloc.cli import _solver_config, build_parser, main
 from binalloc.instances import save_instance
 
@@ -86,7 +86,7 @@ def test_solve_round_with_frac_point(two_agent_file, tmp_path, capsys):
 def test_solve_annealed_binnn_c(two_agent_file, capsys, tmp_path):
     traj = str(tmp_path / "traj.csv")
     code = run_cli([
-        "solve", two_agent_file, "--method", "binnn-c", "--anneal",
+        "solve", two_agent_file, "--method", "binnn-c-da",
         "--steps", "15", "--h", "0.02", "--seed", "0", "--traj-out", traj,
     ])
     assert code == 0
@@ -98,12 +98,48 @@ def test_solve_annealed_binnn_c(two_agent_file, capsys, tmp_path):
 
 def test_solve_annealed_binnn_d(two_agent_file, capsys):
     code = run_cli([
-        "solve", two_agent_file, "--method", "binnn-d", "--anneal",
+        "solve", two_agent_file, "--method", "binnn-d-da",
         "--steps", "15", "--h", "0.02", "--knob", "T-down", "--td", "2.0",
         "--seed", "0",
     ])
     assert code == 0
     assert "bits: 10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flow", ["binnn-c", "hnn", "binnn-d"])
+def test_solve_annealed_method_prints_its_anneal(two_agent_file, two_agent, pair_graph, capsys,
+                                                flow):
+    code = run_cli(["solve", two_agent_file, "--method", f"{flow}-da", "--seed", "0",
+                    "--steps", "4", "--h", "0.02"])
+    assert code == 0
+    shown = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    cfg = SolverConfig(step=0.02, seed=0, anneal=AnnealSchedule(steps=4))
+    want = anneal(flow, two_agent, pair_graph if flow == "binnn-d" else None, cfg)
+    assert shown["method"] == f"{flow}-da"
+    assert shown["bits"] == "".join(map(str, want.bits))
+    assert shown["cost"] == f"{want.cost:.12g}"
+    assert shown["iterations"] == str(want.iterations)
+
+
+def test_anneal_flag_is_a_usage_error(two_agent_file):
+    # an annealed run is a method of its own, binnn-c-da
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", two_agent_file, "--method", "binnn-c", "--anneal"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{file}", "--method", "greedy", "--h", "nan"],
+    ["solve", "{file}", "--method", "greedy", "--t-max", "inf"],
+    ["gen", "--n", "6", "--topology", "random", "--extra-edges", "1.5", "--out", "{out}"],
+], ids=["h-nan", "t-max-inf", "extra-edges"])
+def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, capsys, argv):
+    # the solver settings are checked before any method runs
+    out = tmp_path / "x.json"
+    code = run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_disconnected_graph_is_runtime_error(tmp_path, two_agent, capsys):
@@ -191,10 +227,9 @@ def test_solve_prints_the_consensus_residual_of_a_distributed_solve(two_agent_fi
 
 def test_solver_flag_defaults_are_the_library_defaults():
     parser = build_parser()
-    plain = parser.parse_args(["solve", "f.json", "--method", "hnn"])
-    assert _solver_config(plain) == SolverConfig()
-    annealed = parser.parse_args(["solve", "f.json", "--method", "hnn", "--anneal"])
-    assert _solver_config(annealed) == SolverConfig(anneal=AnnealSchedule())
+    for method in ("hnn", "hnn-da"):  # one config whether or not the method anneals
+        args = parser.parse_args(["solve", "f.json", "--method", method])
+        assert _solver_config(args) == SolverConfig(anneal=AnnealSchedule())
 
 
 def _flat(obj, prefix=""):
@@ -230,10 +265,8 @@ def _changed(base, other):
 ])
 def test_each_solver_flag_lands_in_its_own_field(flag, value, changed):
     parser = build_parser()
-    annealed = flag in ("--beta", "--steps", "--td", "--knob")
-    base = ["solve", "f.json", "--method", "hnn"] + (["--anneal"] if annealed else [])
-    default = SolverConfig(anneal=AnnealSchedule() if annealed else None)
-    got = _solver_config(parser.parse_args(base + [flag, value]))
+    default = SolverConfig(anneal=AnnealSchedule())
+    got = _solver_config(parser.parse_args(["solve", "f.json", "--method", "hnn", flag, value]))
     assert _changed(_flat(default), _flat(got)) == changed
 
 

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -384,6 +385,12 @@ def test_run_zero_horizon(two_agent):
     assert np.all((result.x_final >= 0.45) & (result.x_final <= 0.55))
 
 
+def test_a_run_takes_t_max_over_h_steps():
+    # t summed one h at a time drifts past t_max - 1e-12; the step count does not
+    result = run("hnn", random_instance(100, 0), config=SolverConfig(seed=0, sample_stride=0))
+    assert result.iterations == 100000
+
+
 def test_run_rejects_bad_flow_and_missing_graph(two_agent):
     with pytest.raises(ValueError):
         run("sgd", two_agent)
@@ -439,6 +446,26 @@ def test_solver_config_validation():
         SolverConfig(eps_init=0.5)
     with pytest.raises(ValueError):
         SolverConfig(tol_x=0.0)
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (SolverConfig, {"step": np.nan}),
+    (SolverConfig, {"t_max": np.inf}),
+    (SolverConfig, {"t_max": -5.0}),
+    (SolverConfig, {"eps_clip": 0.7}),
+    (SolverConfig, {"eps_clip": -1e-9}),
+    (SolverConfig, {"alpha": 0.0}),
+    (SolverConfig, {"alpha": np.nan}),
+    (SolverConfig, {"tol_y": np.inf}),
+    (SolverConfig, {"sample_stride": -3}),
+    (Thermo, {"temp": np.inf}),
+    (Thermo, {"floor": np.nan}),
+    (AnnealSchedule, {"beta": np.inf}),
+    (AnnealSchedule, {"t_d": np.nan}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
+def test_configs_refuse_settings_that_cannot_run(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
 
 
 def test_short_run_descends_and_stays_interior():
@@ -599,7 +626,8 @@ def test_trajectory_csv_requires_samples(two_agent, tmp_path):
 
 
 def _step_by_step(flow, instance, graph, config):
-    """run()/anneal() as a plain loop that computes every step."""
+    """run()/anneal() as a plain loop that computes every step, ceil(duration/h)
+    of them per round."""
     state, thermo = dynamics._prepare(flow, instance, graph, config)
     stride, sched = config.sample_stride, config.anneal
     samples, round_ends, iterations = [], [], 0
@@ -614,10 +642,10 @@ def _step_by_step(flow, instance, graph, config):
     # a diverging run overflows on its way to the non-finite rate that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(sched.steps if sched else 1):
-            t_limit = state.t + sched.t_d if sched else config.t_max
+            duration = sched.t_d if sched else config.t_max
             rates = flow_rates(flow, instance, graph, thermo, config.alpha)
             steps = 0  # the sample stride counts the steps of a round
-            while state.t < t_limit - 1e-12:
+            while steps < math.ceil(duration / config.step - 1e-9):
                 xdot, ydot, g = rates(state.x, state.y)
                 y_rate = 0.0 if ydot is None else np.abs(ydot).max()
                 if not np.isfinite([np.abs(xdot).max(), y_rate]).all():

@@ -114,6 +114,12 @@ def test_random_connected_graph_deterministic():
     assert a.edges == b.edges
 
 
+@pytest.mark.parametrize("fraction", [-0.5, np.nan, 1.5])
+def test_random_connected_graph_rejects_a_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match="extra_edge_fraction"):
+        random_connected_graph(6, fraction, seed=0)
+
+
 def test_named_topologies():
     assert named_topology("path", 4).edges == ((0, 1), (1, 2), (2, 3))
     ring = named_topology("ring", 4)

@@ -21,6 +21,8 @@ from binalloc.errors import (
 )
 from binalloc.graphs import build_graph
 from binalloc.instances import (
+    DEFAULT_GAMMA,
+    DEFAULT_P_REF,
     default_quad,
     from_json_dict,
     load_instance,
@@ -186,6 +188,11 @@ def test_json_accepts_incremental_costs():
     inst, edges = from_json_dict(doc)
     assert edges is None
     assert np.allclose(inst.incr_cost, [2.0, 1.0], atol=1e-12)
+
+
+def test_json_without_gamma_or_p_ref_takes_the_generator_defaults():
+    inst, _ = from_json_dict({"n": 2, "p": [1, 2], "c": [1, 4]})
+    assert (inst.penalty, inst.target) == (DEFAULT_GAMMA, DEFAULT_P_REF)
 
 
 def test_json_rejects_missing_costs():
