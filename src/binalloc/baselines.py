@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError
-from .instances import eval_p1
+from .instances import _vec, eval_p1
 
 BRUTE_FORCE_CAP = 24
 _CHUNK_BITS = 12  # score corners in chunks of 2^12, so time scales with 2^n
@@ -73,7 +73,7 @@ def greedy(instance):
 
 def round_relaxed(x_frac, instance):
     """Round a fractional point by descending value with strict-improvement stops."""
-    x_frac = np.asarray(x_frac, dtype=float)
+    x_frac = _vec(x_frac, instance.n, "x_frac")
     order = np.argsort(-x_frac, kind="stable")  # ties resolve to the lowest index
     chosen = []
     total, incr = 0.0, 0.0

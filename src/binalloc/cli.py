@@ -85,6 +85,8 @@ def _graph_for(args, n, edges):
 
 def _cmd_solve(args):
     instance, edges = load_instance(args.instance)
+    if edges is not None and "extra_edge_fraction" in args:
+        raise ValueError(f"{args.instance} lists its edges: --extra-edges has no graph to set")
     method, cfg = args.method, _solver_config(args)
     graph = _graph_for(args, instance.n, edges) if method.startswith("binnn-d") else None
     if method == "round":
@@ -195,6 +197,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gen" and args.n < 1:
         parser.error("--n must be >= 1")
+    # only a random graph reads --extra-edges; solve's graph is random unless a topology is named
+    if "extra_edge_fraction" in args and (args.topology or args.command) not in ("random", "solve"):
+        parser.error("--extra-edges sets the density of --topology random only")
     if args.command == "solve" and args.method == "round" and not args.frac_point:
         parser.error("--method round requires --frac-point")
     if args.command == "bench":  # resolved before anything runs: Q needs two methods

@@ -209,7 +209,7 @@ def _jittered(thermo, rng):
     )
 
 
-def _sample(samples, instance, graph, thermo, state, e=None, ctx=None):
+def _sample(samples, instance, graph, thermo, state, ctx, e=None):
     """Append a trajectory point; ``e``, when given, is the state's known energy."""
     if e is None and state.y is None:
         e = en.energy(instance, thermo, state.x)
@@ -217,59 +217,6 @@ def _sample(samples, instance, graph, thermo, state, e=None, ctx=None):
         e = en.energy_tilde(instance, graph, thermo, state.x, state.y, ctx)
     samples.append((state.t, state.x.copy(), None if state.y is None else state.y.copy(), e))
     return e
-
-
-def _integrate(flow, instance, graph, state, thermo, config, steps, samples, steps_before=0):
-    """Advance until the flow stalls or ``steps`` steps are taken (a failure
-    also counts ``steps_before``, an anneal's earlier rounds).
-
-    Convergence requires both a small velocity and a small energy gradient,
-    so terminal points certify as near-critical (the velocity alone can be
-    small near corners where the activation slope vanishes).
-
-    The round steps its own copy of (x, y) in place. The rates read (x, y)
-    alone, so once a step leaves them bit-for-bit unchanged (tested after
-    steps 1, 2, 4 and 8, then every 16) every later step of the round repeats
-    it: those steps are counted, and t and the samples taken, without
-    computing them. The result is the step-by-step loop's, exactly. On
-    binnn-d a round that ends with sum(y) non-finite or drifted from zero fails.
-    """
-    ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
-    rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
-    h, stride = config.step, config.sample_stride
-    x, y, t = state.x.copy(), None if state.y is None else state.y.copy(), state.t
-    iterations, stop = 0, None
-    # a diverging run overflows on its way to the non-finite rate that raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while iterations < steps:
-            check = (iterations + 1) % _FREEZE_CHECK == 0 or iterations + 1 in (1, 2, 4, 8)
-            if check:
-                before = x.tobytes(), None if y is None else y.tobytes()
-            stop = _step(rates, x, y, config)
-            if stop:
-                break
-            t += h
-            iterations += 1
-            if stride > 0 and iterations % stride == 0:
-                _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx=ctx)
-            if check and before == (x.tobytes(), None if y is None else y.tobytes()):
-                e = None
-                while iterations < steps:
-                    t += h
-                    iterations += 1
-                    if stride > 0 and iterations % stride == 0:
-                        e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), e, ctx)
-        if stop != "non-finite flow rate" and y is not None:
-            total = float(y.sum())
-            if not math.isfinite(total):  # y left the reals; x is clipped into the cube
-                stop = "non-finite state at the round end"
-            elif not abs(total) <= _SUM_Y_RTOL * max(1.0, float(np.abs(y).sum())):
-                stop = f"sum(y) drifted to {total:.3g}"
-    state = FlowState(x, y, t)
-    if stop not in (None, "converged"):
-        raise NumericFailureError(stop, state=state, trajectory=samples,
-                                  iterations=steps_before + iterations)
-    return state, stop == "converged", iterations
 
 
 def _prepare(flow, instance, graph, config):
@@ -293,29 +240,71 @@ def _prepare(flow, instance, graph, config):
 
 def _solve(flow, instance, graph, config, rounds, duration, shrink):
     """Integrate ``rounds`` rounds of ``duration`` simulated time each, applying
-    ``shrink`` to the knobs after every round. The state carries over. A round
-    is ceil(duration / h) steps, counted: t, summed one h at a time, drifts."""
+    ``shrink`` to the knobs after every round. A round is ceil(duration / h)
+    steps, counted: t, summed one h at a time, drifts. A round ends early once
+    the flow converges, which requires both a small velocity and a small energy
+    gradient, so terminal points certify as near-critical (the velocity alone
+    can be small near corners where the activation slope vanishes).
+
+    One copy of (x, y) is stepped in place across the rounds, and one energy
+    context serves the whole solve. The rates read (x, y) alone, so once a step
+    leaves them bit-for-bit unchanged (tested after steps 1, 2, 4 and 8 of a
+    round, then every 16) every later step of the round repeats it: those steps
+    are counted, and t and the samples taken, without computing them. The
+    result is the step-by-step loop's, exactly. On binnn-d a round that ends
+    with sum(y) non-finite or drifted from zero fails.
+    """
     state, thermo = _prepare(flow, instance, graph, config)
-    steps = math.ceil(duration / config.step - 1e-9)
-    samples = []
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    round_ends, iterations, converged = [], 0, False
+    ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
+    h, stride = config.step, config.sample_stride
+    steps = math.ceil(duration / h - 1e-9)
+    x, y, t = state.x, state.y, state.t
+    samples, round_ends, iterations = [], [], 0
+    if stride > 0:
+        _sample(samples, instance, graph, thermo, state, ctx)
     start = time.perf_counter()
-    for _ in range(rounds):
-        state, converged, its = _integrate(
-            flow, instance, graph, state, thermo, config, steps, samples, iterations
-        )
-        iterations += its
-        round_ends.append(state.x.copy())
-        thermo = shrink(thermo)
+    # a diverging run overflows on its way to the non-finite rate that raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(rounds):
+            rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
+            taken, stop = 0, None  # the freeze test and the sample stride count a round's steps
+            while taken < steps:
+                check = (taken + 1) % _FREEZE_CHECK == 0 or taken + 1 in (1, 2, 4, 8)
+                if check:
+                    before = x.tobytes(), None if y is None else y.tobytes()
+                stop = _step(rates, x, y, config)
+                if stop:
+                    break
+                t += h
+                taken += 1
+                if stride > 0 and taken % stride == 0:
+                    _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
+                if check and before == (x.tobytes(), None if y is None else y.tobytes()):
+                    e = None
+                    while taken < steps:
+                        t += h
+                        taken += 1
+                        if stride > 0 and taken % stride == 0:
+                            e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx, e)
+            iterations += taken
+            if stop != "non-finite flow rate" and y is not None:
+                total = float(y.sum())
+                if not math.isfinite(total):  # y left the reals; x is clipped into the cube
+                    stop = "non-finite state at the round end"
+                elif not abs(total) <= _SUM_Y_RTOL * max(1.0, float(np.abs(y).sum())):
+                    stop = f"sum(y) drifted to {total:.3g}"
+            if stop not in (None, "converged"):
+                raise NumericFailureError(stop, state=FlowState(x, y, t), trajectory=samples,
+                                          iterations=iterations)
+            round_ends.append(x.copy())
+            thermo = shrink(thermo)
     wall = time.perf_counter() - start
-    if config.sample_stride > 0:
-        _sample(samples, instance, graph, thermo, state)
-    bits = round_to_binary(state.x)
-    return RunResult(x_final=state.x, y_final=state.y, bits=bits, cost=eval_p1(instance, bits),
+    if stride > 0:
+        _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
+    bits = round_to_binary(x)
+    return RunResult(x_final=x, y_final=y, bits=bits, cost=eval_p1(instance, bits),
                      trajectory=samples, iterations=iterations, wall_time=wall,
-                     converged=converged, thermo_final=thermo, round_ends=tuple(round_ends))
+                     converged=stop == "converged", thermo_final=thermo, round_ends=tuple(round_ends))
 
 
 def run(flow, instance, graph=None, config=None):
@@ -339,27 +328,28 @@ def anneal(flow, instance, graph=None, config=None):
     return _solve(flow, instance, graph, config, sched.steps, sched.t_d, sched.shrink)
 
 
-def terminal_diagnostics(result, instance, graph=None, thermo=None, tol_x=SolverConfig.tol_x):
-    """Gradient norm and Hessian spectrum at the terminal point.
+def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x):
+    """Gradient norm and Hessian spectrum at the terminal point, at the run's final knobs.
 
     The gradients come from the rates kernel ("hnn" for a centralized
     result). Certifies a local minimum when the run converged with a small
     gradient and a positive-definite Hessian of the relevant energy.
     """
-    thermo = thermo or result.thermo_final
+    thermo = result.thermo_final
     x, y = en._interior(result.x_final, instance.n), result.y_final
     curvature = thermo.temp / thermo.time_const / (x - x**2)
+    ctx = (en.centralized_ctx if y is None else en.distributed_ctx)(instance)
     if y is None:
-        _, _, g = flow_rates("hnn", instance, None, thermo, 1.0)(x, None)
-        min_eig = en.centralized_ctx(instance).min_hessian_eig(curvature)
+        _, _, g = flow_rates("hnn", instance, None, thermo, 1.0, ctx)(x, None)
+        min_eig = ctx.min_hessian_eig(curvature)
         grad_y_inf = None
     else:
         if graph is None:
             raise ValueError("the distributed flow requires a graph")
         # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
-        _, ydot, g = flow_rates("binnn-d", instance, graph, thermo, 1.0)(x, y)
+        _, ydot, g = flow_rates("binnn-d", instance, graph, thermo, 1.0, ctx)(x, y)
         grad_y_inf = float(np.max(np.abs(ydot)))
-        min_eig = float(en.distributed_ctx(instance).hessian_diag(curvature).min())
+        min_eig = float(ctx.hessian_diag(curvature).min())
     grad_inf = float(np.max(np.abs(g)))
     certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
     return Diagnostics(grad_inf=grad_inf, grad_y_inf=grad_y_inf, min_hessian_eig=min_eig,

@@ -66,10 +66,10 @@ class Instance:
         object.__setattr__(self, "output", _vec(self.output, n, "output"))
         object.__setattr__(self, "penalty", float(self.penalty))
         object.__setattr__(self, "target", float(self.target))
-        if self.penalty <= 0:
-            raise ValueError(f"penalty must be > 0, got {self.penalty}")
-        if not np.all(np.isfinite(self.incr_cost)):
-            raise InvalidCoefficientError("implied incremental cost is not finite")
+        data = np.concatenate((self.incr_cost, self.passive, self.output, [self.target]))
+        if not (np.isfinite(data).all() and 0 < self.penalty < np.inf):
+            raise InvalidCoefficientError("incremental costs, passive costs, outputs and target must be "
+                                          f"finite, and penalty finite and > 0 (got {self.penalty})")
 
     @property
     def n(self) -> int:

@@ -303,8 +303,7 @@ def test_criterion_8_saddle_escape():
         cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=2000.0,
                            tol_x=tol_x, seed=seed, sample_stride=0)
         res = run("binnn-c", inst, config=cfg)
-        diag = terminal_diagnostics(res, inst, thermo=res.thermo_final,
-                                    tol_x=tol_x)
+        diag = terminal_diagnostics(res, inst, tol_x=tol_x)
         worst_grad = max(worst_grad, diag.grad_inf)
         if diag.local_min_certified:
             certified += 1

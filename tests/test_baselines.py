@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from binalloc import baselines, brute_force, greedy, round_relaxed
-from binalloc.errors import SizeError
+from binalloc.errors import ShapeError, SizeError
 from binalloc.instances import Instance, eval_p1, random_instance
 
 
@@ -90,6 +90,12 @@ def test_round_relaxed_never_worse_than_empty():
         inst = random_instance(9, 100 + seed, p_ref=150.0)
         frac = np.random.default_rng(seed).uniform(0.0, 1.0, 9)
         assert round_relaxed(frac, inst).cost <= eval_p1(inst, np.zeros(9))
+
+
+@pytest.mark.parametrize("x_frac", [[0.9], [0.9, 0.2, 0.5]], ids=["short", "long"])
+def test_round_relaxed_refuses_a_point_of_the_wrong_length(two_agent, x_frac):
+    with pytest.raises(ShapeError):
+        round_relaxed(x_frac, two_agent)
 
 
 def test_brute_force_two_agent(two_agent):

@@ -8,7 +8,7 @@ import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, anneal
 from binalloc.cli import _solver_config, build_parser, main
-from binalloc.instances import save_instance
+from binalloc.instances import save_instance, to_json_dict
 
 
 @pytest.fixture
@@ -132,14 +132,47 @@ def test_anneal_flag_is_a_usage_error(two_agent_file):
     ["solve", "{file}", "--method", "greedy", "--h", "nan"],
     ["solve", "{file}", "--method", "greedy", "--t-max", "inf"],
     ["gen", "--n", "6", "--topology", "random", "--extra-edges", "1.5", "--out", "{out}"],
-], ids=["h-nan", "t-max-inf", "extra-edges"])
+    # the file lists its edges, so no graph is generated
+    ["solve", "{file}", "--method", "binnn-d", "--extra-edges", "0.5"],
+    ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/short.csv"],
+    ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/long.csv"],
+], ids=["h-nan", "t-max-inf", "extra-edges", "extra-edges-on-edges", "frac-short", "frac-long"])
 def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, capsys, argv):
-    # the solver settings are checked before any method runs
+    # the settings are checked before any method runs; the instance has 2 agents
     out = tmp_path / "x.json"
-    code = run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
+    (tmp_path / "short.csv").write_text("0.9\n")
+    (tmp_path / "long.csv").write_text("0.9,0.2,0.5\n")
+    code = run_cli([arg.format(file=two_agent_file, out=out, dir=tmp_path) for arg in argv])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "6", "--topology", "ring", "--extra-edges", "0.5", "--out", "{out}"],
+    ["gen", "--n", "6", "--topology", "path", "--extra-edges", "0.5", "--out", "{out}"],
+    ["gen", "--n", "6", "--topology", "complete", "--extra-edges", "0.5", "--out", "{out}"],
+    ["gen", "--n", "6", "--extra-edges", "0.5", "--out", "{out}"],
+    ["solve", "{file}", "--method", "binnn-d", "--topology", "ring", "--extra-edges", "0.9"],
+], ids=["gen-ring", "gen-path", "gen-complete", "gen-no-topology", "solve-ring"])
+def test_extra_edges_without_a_random_graph_is_usage_error(two_agent_file, tmp_path, argv):
+    # only the random topology reads the flag; refused before anything runs
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", float("nan")), ("p_ref", float("inf")), ("p", [3.0, float("nan")]), ("d", [float("inf"), 0.0]),
+])
+def test_solve_refuses_non_finite_instance_data(tmp_path, two_agent, capsys, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**to_json_dict(two_agent), key: value}))  # json writes NaN, Infinity
+    code = run_cli(["solve", str(path), "--method", "greedy"])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_disconnected_graph_is_runtime_error(tmp_path, two_agent, capsys):

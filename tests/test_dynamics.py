@@ -768,3 +768,23 @@ def test_moving_binnn_c_is_computed_step_by_step(rate_calls):
                   anneal=AnnealSchedule(beta=1.4, t_d=1.0, steps=3))
     result = _assert_same_as_step_by_step("binnn-c", inst, None, cfg)
     assert rate_calls[0] == result.iterations
+
+
+@pytest.mark.parametrize("flow", ["binnn-d", "hnn"])
+def test_a_sampled_anneal_builds_one_energy_context(flow, monkeypatch):
+    # every round and every trajectory sample of a solve reads the same context
+    inst = random_instance(20, 7, p_ref=1500.0)
+    graph = named_topology("ring", 20) if flow == "binnn-d" else None
+    cfg = replace(CAMPAIGN_SOLVER, sample_stride=5)
+    builds = []
+    for name in ("centralized_ctx", "distributed_ctx"):
+        build = getattr(en, name)
+
+        def counted(instance, build=build, name=name):
+            builds.append(name)
+            return build(instance)
+
+        monkeypatch.setattr(en, name, counted)
+    result = anneal(flow, inst, graph, cfg)
+    assert len(result.round_ends) == 10 and len(result.trajectory) > 2
+    assert builds == ["distributed_ctx" if flow == "binnn-d" else "centralized_ctx"]

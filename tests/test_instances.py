@@ -169,6 +169,11 @@ def test_instance_validates_penalty_and_shapes():
     with pytest.raises(ShapeError):
         Instance(quad=[-1.0, -1.0], center=[0.5], passive=[0.0, 0.0],
                  output=[1.0, 1.0], penalty=1.0, target=0.0)
+    good = dict(quad=[-1.0], center=[0.5], passive=[0.0], output=[1.0], penalty=1.0, target=0.0)
+    for field, value in (("penalty", np.nan), ("penalty", np.inf), ("target", np.inf),
+                         ("output", [np.nan]), ("passive", [-np.inf])):
+        with pytest.raises(InvalidCoefficientError):
+            Instance(**{**good, field: value})
 
 
 def test_json_round_trip(tmp_path, two_agent):
