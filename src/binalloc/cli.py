@@ -75,6 +75,10 @@ def _cmd_gen(args):
     return 0
 
 
+def _builds_graph(method):
+    return method.startswith("binnn-d")
+
+
 def _graph_for(args, n, edges):
     if edges is not None:
         return build_graph(n, edges)
@@ -85,10 +89,11 @@ def _graph_for(args, n, edges):
 
 def _cmd_solve(args):
     instance, edges = load_instance(args.instance)
-    if edges is not None and "extra_edge_fraction" in args:
-        raise ValueError(f"{args.instance} lists its edges: --extra-edges has no graph to set")
+    if edges is not None and (args.topology or "extra_edge_fraction" in args):
+        raise ValueError(f"{args.instance} lists its edges: --topology and --extra-edges "
+                         "have no graph to set")
     method, cfg = args.method, _solver_config(args)
-    graph = _graph_for(args, instance.n, edges) if method.startswith("binnn-d") else None
+    graph = _graph_for(args, instance.n, edges) if _builds_graph(method) else None
     if method == "round":
         result = baselines.round_relaxed(np.loadtxt(args.frac_point, delimiter=",").ravel(), instance)
     else:
@@ -200,6 +205,9 @@ def main(argv=None):
     # only a random graph reads --extra-edges; solve's graph is random unless a topology is named
     if "extra_edge_fraction" in args and (args.topology or args.command) not in ("random", "solve"):
         parser.error("--extra-edges sets the density of --topology random only")
+    if args.command == "solve" and not _builds_graph(args.method) and (
+            args.topology or "extra_edge_fraction" in args):
+        parser.error(f"--method {args.method} builds no graph for --topology or --extra-edges")
     if args.command == "solve" and args.method == "round" and not args.frac_point:
         parser.error("--method round requires --frac-point")
     if args.command == "bench":  # resolved before anything runs: Q needs two methods

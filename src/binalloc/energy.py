@@ -95,10 +95,20 @@ class CentralizedEnergyCtx:
         return hess
 
     def pt_solve(self, barrier_curvature, v, floor):
-        """PT-inverse Hessian applied to v: in O(n^2) by the secular equation,
-        or below ``_SECULAR_MIN_N`` agents by dense ``eigh`` and two matvecs."""
+        """PT-inverse Hessian applied to v, H = diag(d) + weight weight^T with
+        d = quad + barrier_curvature, in one of three ways:
+
+        - every pole d_i finite and >= floor: every eigenvalue of H is >= min(d) >= floor
+          (Weyl), so the PT-inverse is H^-1, applied in O(n) by Sherman and Morrison;
+        - otherwise, from ``_SECULAR_MIN_N`` agents, in O(n^2) by the secular equation;
+        - otherwise by dense ``eigh`` and two matvecs."""
+        diag = self.quad + barrier_curvature
+        if floor <= diag.min() and diag.max() < np.inf:
+            u, q = v / diag, self.weight / diag
+            # the denominator is >= 1 here: nothing cancels
+            return u - q * ((self.weight @ u) / (1.0 + self.weight @ q))
         if v.size >= _SECULAR_MIN_N:
-            return pt_inverse_rank_one(self.quad + barrier_curvature, self.weight, v, floor)
+            return pt_inverse_rank_one(diag, self.weight, v, floor)
         # the Hessian is symmetric by construction; cheaper than forming the inverse
         eigvals, eigvecs = np.linalg.eigh(self.hessian(barrier_curvature))
         np.abs(eigvals, out=eigvals)

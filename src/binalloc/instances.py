@@ -66,10 +66,12 @@ class Instance:
         object.__setattr__(self, "output", _vec(self.output, n, "output"))
         object.__setattr__(self, "penalty", float(self.penalty))
         object.__setattr__(self, "target", float(self.target))
-        data = np.concatenate((self.incr_cost, self.passive, self.output, [self.target]))
-        if not (np.isfinite(data).all() and 0 < self.penalty < np.inf):
-            raise InvalidCoefficientError("incremental costs, passive costs, outputs and target must be "
-                                          f"finite, and penalty finite and > 0 (got {self.penalty})")
+        data = np.concatenate((quad, self.center, self.passive, self.output, [self.target]))
+        with np.errstate(over="ignore"):  # only finite factors reach incr_cost: inf * 0 would warn
+            finite = np.isfinite(data).all() and np.isfinite(self.incr_cost).all()
+        if not (finite and 0 < self.penalty < np.inf):
+            raise InvalidCoefficientError("quad, center, passive, output, target and incremental costs must "
+                                          f"be finite, and penalty finite and > 0 (got {self.penalty})")
 
     @property
     def n(self) -> int:

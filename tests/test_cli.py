@@ -134,9 +134,11 @@ def test_anneal_flag_is_a_usage_error(two_agent_file):
     ["gen", "--n", "6", "--topology", "random", "--extra-edges", "1.5", "--out", "{out}"],
     # the file lists its edges, so no graph is generated
     ["solve", "{file}", "--method", "binnn-d", "--extra-edges", "0.5"],
+    ["solve", "{file}", "--method", "binnn-d-da", "--topology", "ring"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/short.csv"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/long.csv"],
-], ids=["h-nan", "t-max-inf", "extra-edges", "extra-edges-on-edges", "frac-short", "frac-long"])
+], ids=["h-nan", "t-max-inf", "extra-edges", "extra-edges-on-edges", "topology-on-edges",
+        "frac-short", "frac-long"])
 def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, capsys, argv):
     # the settings are checked before any method runs; the instance has 2 agents
     out = tmp_path / "x.json"
@@ -162,6 +164,21 @@ def test_extra_edges_without_a_random_graph_is_usage_error(two_agent_file, tmp_p
         run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{file}", "--method", "greedy", "--topology", "ring"],
+    ["solve", "{file}", "--method", "binnn-c-da", "--topology", "random", "--extra-edges", "0.5"],
+    ["solve", "{file}", "--method", "hnn", "--extra-edges", "0.5"],
+    ["solve", "{file}", "--method", "round", "--frac-point", "{file}", "--topology", "path"],
+], ids=["greedy-topology", "binnn-c-da-both", "hnn-extra-edges", "round-topology"])
+def test_graph_flags_on_a_method_without_a_graph_are_usage_errors(two_agent_file, capsys, argv):
+    # only binnn-d and binnn-d-da build a graph; refused before anything runs, so before
+    # the instance file (which lists its edges) is read
+    with pytest.raises(SystemExit) as exc:
+        run_cli([arg.format(file=two_agent_file) for arg in argv])
+    assert exc.value.code == 2
+    assert "builds no graph" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -136,11 +136,14 @@ def test_centralized_kernels_match_dense_assembly_at_n2000():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_binnn_c_crossover_sides_agree(monkeypatch):
-    # the same small instance through the secular solve and through dense eigh
+    # the same small instance through the secular solve and through dense eigh; a
+    # steeper quad puts poles below the floor, where the O(n) branch does not apply
     n = 12
     inst = small_instance(n, seed=5)
+    inst = replace(inst, quad=10.0 * inst.quad)
     x = interior_state(n, 5).x
     assert n < en._SECULAR_MIN_N
+    assert (inst.quad + THERMO.temp / THERMO.time_const / (x - x**2)).min() < THERMO.floor
     default = flow_rates("binnn-c", inst, None, THERMO, 1.0)(x, None)[0]
     sides = {}
     for side, min_n in (("secular", 1), ("dense", n + 1)):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal
+from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, run
+from binalloc import energy as en
+from binalloc.bench import median_step_time
 from binalloc.dynamics import flow_rates
 from binalloc.energy import (
     _secular_roots,
@@ -239,8 +241,9 @@ def test_pt_inverse_scalar_examples():
 
 # The secular PT-inverse kernel against the dense reference: each case
 # compares ``pt_inverse_rank_one`` (what ``pt_solve`` runs from ``_SECULAR_MIN_N``
-# agents on) with ``pt_inverse(hessian(...)) @ v`` at any size, and must raise
-# no numpy warning (division by zero, invalid values) on the way.
+# agents on, unless every pole clears the floor) with ``pt_inverse(hessian(...)) @ v``
+# at any size, and must raise no numpy warning (division by zero, invalid values)
+# on the way.
 no_numpy_warnings = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -416,6 +419,97 @@ def test_rank_one_kernels_reject_bad_floor_and_give_nan_on_infinite_poles():
     assert np.isnan(min_eig_rank_one(diag, weight))
     with pytest.raises(ValueError):
         pt_inverse_rank_one(np.ones(3), weight, np.ones(3), 0.0)
+
+
+# ``pt_solve``'s O(n) branch: once every pole d_i clears the floor, the PT-inverse
+# is H^-1, applied by Sherman and Morrison. Their formula is exact in rational
+# arithmetic, so Fraction gives its reference.
+def _sherman_morrison_exact(diag, weight, v):
+    d, w, v = ([Fraction(float(e)) for e in arr] for arr in (diag, weight, v))
+    u, q = [a / b for a, b in zip(v, d)], [a / b for a, b in zip(w, d)]
+    scale = sum(a * b for a, b in zip(w, u)) / (1 + sum(a * b for a, b in zip(w, q)))
+    return np.array([float(a - b * scale) for a, b in zip(u, q)])
+
+
+def _refuse_eigh(_):
+    raise AssertionError("pt_solve reached dense eigh")
+
+
+def _pt_solve_without_eigh(monkeypatch, ctx, curvature, v, floor):
+    """``ctx.pt_solve``, failing if it reaches dense ``eigh``: the O(n) branch or nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", _refuse_eigh)
+        return ctx.pt_solve(curvature, v, floor)
+
+
+@no_numpy_warnings
+def test_pt_solve_is_exact_sherman_morrison_on_positive_definite_states(bench_small, monkeypatch):
+    thermo = Thermo()
+    ratio = thermo.temp / thermo.time_const
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in range(1, 9):
+        # near the corners the barrier's curvature outweighs the negative quad
+        x = rng.uniform(1e-6, 1e-3, n)
+        cases.append((bench_small(n=n, seed=n), np.where(rng.random(n) < 0.5, x, 1.0 - x)))
+    # the states of a real n=20 binnn-c run that clear the floor, poles from 6e3 to 5e9
+    inst = random_instance(20, 3)
+    result = run("binnn-c", inst, config=SolverConfig(step=0.02, t_max=10.0, sample_stride=10,
+                                                      seed=0))
+    cleared = [x for _, x, _, _ in result.trajectory
+               if (inst.quad + ratio / (x - x**2)).min() >= thermo.floor]
+    assert len(cleared) >= 10
+    cases += [(inst, x) for x in cleared]
+    for inst, x in cases:
+        ctx, curvature, v = centralized_ctx(inst), ratio / (x - x**2), rng.normal(size=inst.n)
+        assert (inst.quad + curvature).min() >= thermo.floor
+        got = _pt_solve_without_eigh(monkeypatch, ctx, curvature, v, thermo.floor)
+        ref = _sherman_morrison_exact(inst.quad + curvature, ctx.weight, v)
+        # measured: 2.2e-16 at most, where dense eigh is off by up to 2.6e-11
+        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@no_numpy_warnings
+def test_pt_solve_takes_the_o_n_branch_at_a_pole_equal_to_the_floor(monkeypatch):
+    # at x = 0.5 the barrier's curvature is exactly 4 T / tau = 4, so quad = -3.5
+    # puts that pole on the floor 0.5 exactly; the others sit above it
+    n = 5
+    inst = Instance(quad=np.full(n, -3.5), center=np.full(n, 0.5), passive=np.zeros(n),
+                    output=np.linspace(0.5, 1.5, n), penalty=2.0, target=3.0)
+    thermo = Thermo(1.0, 1.0, 0.5)
+    x = np.array([0.5, 0.3, 0.8, 0.6, 0.1])
+    curvature = 1.0 / (x - x**2)
+    assert (inst.quad + curvature).min() == thermo.floor
+    v = np.random.default_rng(4).normal(size=n)
+    ref = pt_inverse(hessian(inst, thermo, x), thermo.floor) @ v
+    got = _pt_solve_without_eigh(monkeypatch, centralized_ctx(inst), curvature, v, thermo.floor)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@no_numpy_warnings
+@pytest.mark.parametrize("n", [6, 100])
+def test_pt_solve_gives_nan_on_an_infinite_pole(n):
+    # every other pole is at least 1, far above the floor: the infinite one alone
+    # keeps the state off the O(n) branch, which would read it as a zero entry
+    inst = random_instance(n, 0)
+    curvature = np.abs(inst.quad) + 1.0
+    curvature[2] = np.inf
+    assert np.isnan(centralized_ctx(inst).pt_solve(curvature, np.ones(n), 0.1)).all()
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_criterion_10_times_the_secular_solve(monkeypatch, n):
+    # median_step_time starts binnn-c at the cube centre, where the poles are
+    # negative: no step it times clears the floor, so each runs the secular solve
+    calls, secular = [], en.pt_inverse_rank_one
+
+    def counted(*args):
+        calls.append(args[0].min())
+        return secular(*args)
+
+    monkeypatch.setattr(en, "pt_inverse_rank_one", counted)
+    median_step_time("binnn-c", n, steps=50, seed=0, repeats=1)
+    assert len(calls) == 50 and max(calls) < Thermo().floor
 
 
 @no_numpy_warnings

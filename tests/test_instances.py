@@ -170,8 +170,11 @@ def test_instance_validates_penalty_and_shapes():
         Instance(quad=[-1.0, -1.0], center=[0.5], passive=[0.0, 0.0],
                  output=[1.0, 1.0], penalty=1.0, target=0.0)
     good = dict(quad=[-1.0], center=[0.5], passive=[0.0], output=[1.0], penalty=1.0, target=0.0)
+    # an infinite quad at center 0.5 would make incr_cost inf * 0, and a huge center
+    # overflow it: each is refused before numpy can warn
     for field, value in (("penalty", np.nan), ("penalty", np.inf), ("target", np.inf),
-                         ("output", [np.nan]), ("passive", [-np.inf])):
+                         ("output", [np.nan]), ("passive", [-np.inf]), ("quad", [np.inf]),
+                         ("center", [-1e308])):
         with pytest.raises(InvalidCoefficientError):
             Instance(**{**good, field: value})
 
