@@ -157,25 +157,6 @@ def q_metric(records):
     return {m: totals[m] / norm for m in methods}
 
 
-def median_step_time(method, n, steps=50, seed=0, repeats=3):
-    """Median per-step wall time of a flow at a given problem size, timing the
-    integrator's step directly (``run`` skips the steps of a frozen state)."""
-    flow, _ = NN_METHODS[method]
-    instance = random_instance(n, seed, p_ref=_SWEEP_P_REF_PER_AGENT * n)
-    graph = random_connected_graph(n, seed=seed)
-    config = dynamics.SolverConfig(step=1e-3)
-    mode = "distributed" if flow == "binnn-d" else "centralized"
-    times = []
-    for _ in range(repeats):
-        state = dynamics.init_state(n, seed=seed, mode=mode)
-        start = time.perf_counter()
-        rates = dynamics.flow_rates(flow, instance, graph, config.thermo, alpha=1.0)
-        for _ in range(steps):
-            dynamics._step(rates, state.x, state.y, config)
-        times.append((time.perf_counter() - start) / steps)
-    return float(np.median(times))
-
-
 def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, solver=None):
     """Median wall time of each method's error-free solves per size, from one
     campaign per size; brute force skips sizes above its cap."""
@@ -200,28 +181,22 @@ def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def write_campaign_csv(records, path):
-    names = [f.name for f in fields(TrialRecord)]
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, name)) for name in names])
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+
+
+def write_campaign_csv(records, path):
+    names = [f.name for f in fields(TrialRecord)]
+    _write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
 def write_q_csv(scores, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "Q"])
-        for method, q in scores.items():
-            writer.writerow([method, _fmt(q)])
+    _write_csv(path, ["method", "Q"], scores.items())
 
 
 def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "method", "median_seconds", "trials"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["method"], _fmt(row["median_seconds"]), row["trials"]]
-            )
+    header = ["n", "method", "median_seconds", "trials"]
+    _write_csv(path, header, ([row[name] for name in header] for row in rows))

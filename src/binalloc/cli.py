@@ -16,6 +16,8 @@ from .instances import load_instance, random_instance, save_instance
 
 CAMPAIGN_METHODS = tuple(bench.NN_METHODS) + tuple(baselines.SOLVERS)
 _OMIT = argparse.SUPPRESS  # a flag not given stays out of args: the library default applies
+# flags that only a random graph reads; solve's graph is random unless a topology is named
+_RANDOM_GRAPH_FLAGS = ("extra_edge_fraction", "graph_seed")
 
 
 def _pair(text):
@@ -82,16 +84,15 @@ def _builds_graph(method):
 def _graph_for(args, n, edges):
     if edges is not None:
         return build_graph(n, edges)
-    return named_topology(
-        args.topology or "random", n, seed=args.graph_seed, **_given(args, "extra_edge_fraction")
-    )
+    return named_topology(args.topology or "random", n, seed=getattr(args, "graph_seed", 0),
+                          **_given(args, "extra_edge_fraction"))
 
 
 def _cmd_solve(args):
     instance, edges = load_instance(args.instance)
-    if edges is not None and (args.topology or "extra_edge_fraction" in args):
-        raise ValueError(f"{args.instance} lists its edges: --topology and --extra-edges "
-                         "have no graph to set")
+    if edges is not None and (args.topology or _given(args, *_RANDOM_GRAPH_FLAGS)):
+        raise ValueError(f"{args.instance} lists its edges: --topology, --extra-edges and "
+                         "--graph-seed have no graph to set")
     method, cfg = args.method, _solver_config(args)
     graph = _graph_for(args, instance.n, edges) if _builds_graph(method) else None
     if method == "round":
@@ -168,7 +169,7 @@ def build_parser():
     solve.add_argument("--method", choices=CAMPAIGN_METHODS + ("round",), required=True)
     solve.add_argument("--frac-point", help="CSV fractional point for --method round")
     solve.add_argument("--topology", choices=("ring", "path", "complete", "random"))
-    solve.add_argument("--graph-seed", type=int, default=0)
+    solve.add_argument("--graph-seed", type=int, default=_OMIT)
     solve.add_argument("--extra-edges", dest="extra_edge_fraction", type=float, default=_OMIT)
     solve.add_argument("--traj-out", help="write the trajectory CSV here")
     _add_solver_flags(solve)
@@ -202,12 +203,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gen" and args.n < 1:
         parser.error("--n must be >= 1")
-    # only a random graph reads --extra-edges; solve's graph is random unless a topology is named
-    if "extra_edge_fraction" in args and (args.topology or args.command) not in ("random", "solve"):
-        parser.error("--extra-edges sets the density of --topology random only")
-    if args.command == "solve" and not _builds_graph(args.method) and (
-            args.topology or "extra_edge_fraction" in args):
-        parser.error(f"--method {args.method} builds no graph for --topology or --extra-edges")
+    random_flags = _given(args, *_RANDOM_GRAPH_FLAGS)
+    if random_flags and (args.topology or args.command) not in ("random", "solve"):
+        parser.error("only --topology random reads --extra-edges and --graph-seed")
+    if args.command == "solve" and not _builds_graph(args.method) and (args.topology or random_flags):
+        parser.error(f"--method {args.method} builds no graph for --topology, --extra-edges or --graph-seed")
     if args.command == "solve" and args.method == "round" and not args.frac_point:
         parser.error("--method round requires --frac-point")
     if args.command == "bench":  # resolved before anything runs: Q needs two methods

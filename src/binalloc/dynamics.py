@@ -19,7 +19,7 @@ import numpy as np
 from . import energy as en
 from .errors import ConnectivityError, NumericFailureError, ShapeError
 from .graphs import is_connected
-from .instances import eval_p1, residual_weight, round_to_binary
+from .instances import eval_p1, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
@@ -170,35 +170,6 @@ def _step(rates, x, y, config):
     if y is not None:
         np.add(y, np.multiply(ydot, config.step, out=ydot), out=y)
     return None
-
-
-def agent_rates(state, instance, graph, thermo, alpha, agent):
-    """Rates of a single agent computed from neighborhood data only.
-
-    The decision update reads the agent's own data plus one-hop auxiliary
-    values; the auxiliary update reads one- and two-hop data. Used to verify
-    that the vectorized flow is implementable with local communication.
-    """
-    i, x, y, p = int(agent), state.x, state.y, instance.output
-    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
-    nbrs = graph.neighbors[i]
-
-    def lap_row(j, vec):
-        return len(graph.neighbors[j]) * vec[j] - sum(vec[k] for k in graph.neighbors[j])
-
-    share = instance.target / instance.n - lap_row(i, y)
-    bias_i = instance.quad[i] * instance.center[i] + weight * p[i] * share
-    coupling_i = instance.quad[i] + weight * p[i] ** 2
-    grad_i = coupling_i * x[i] - bias_i - ratio * np.log(1.0 / x[i] - 1.0)
-    gap_i = x[i] - x[i] ** 2
-    inverse_i = en.pt_inverse_scalar(coupling_i + ratio / gap_i, thermo.floor)
-    xdot_i = inverse_i * gap_i / thermo.temp * -grad_i
-
-    def resid(j):  # p_j x_j + (L y)_j, one hop from j
-        return p[j] * x[j] + lap_row(j, y)
-
-    ydot_i = -alpha * weight * (len(nbrs) * resid(i) - sum(resid(j) for j in nbrs))
-    return float(xdot_i), float(ydot_i)
 
 
 def _jittered(thermo, rng):

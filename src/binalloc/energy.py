@@ -40,13 +40,6 @@ class Thermo:
             raise ValueError("temp, time_const and floor must all be finite and > 0")
 
 
-def activation_inv(x, temp):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise DomainError("activation_inv requires x strictly inside (0,1)")
-    return -temp * np.log(1.0 / x - 1.0)
-
-
 def barrier_integral(z, temp):
     """Integral of the inverse activation from 0 to z; zero at both endpoints."""
     z = np.asarray(z, dtype=float)

@@ -60,6 +60,8 @@ class Instance:
     def __post_init__(self):
         quad = _vec(self.quad, name="quad")
         n = quad.shape[0]
+        if n == 0:
+            raise ShapeError("an instance needs at least one agent")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "center", _vec(self.center, n, "center"))
         object.__setattr__(self, "passive", _vec(self.passive, n, "passive"))

@@ -1,0 +1,58 @@
+"""Independent oracles that the tests check the library against."""
+
+import time
+
+import numpy as np
+
+from binalloc import bench, dynamics
+from binalloc import energy as en
+from binalloc.graphs import random_connected_graph
+from binalloc.instances import random_instance, residual_weight
+
+
+def agent_rates(state, instance, graph, thermo, alpha, agent):
+    """Rates of a single agent computed from neighborhood data only.
+
+    The decision update reads the agent's own data plus one-hop auxiliary
+    values; the auxiliary update reads one- and two-hop data. Used to verify
+    that the vectorized flow is implementable with local communication.
+    """
+    i, x, y, p = int(agent), state.x, state.y, instance.output
+    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
+    nbrs = graph.neighbors[i]
+
+    def lap_row(j, vec):
+        return len(graph.neighbors[j]) * vec[j] - sum(vec[k] for k in graph.neighbors[j])
+
+    share = instance.target / instance.n - lap_row(i, y)
+    bias_i = instance.quad[i] * instance.center[i] + weight * p[i] * share
+    coupling_i = instance.quad[i] + weight * p[i] ** 2
+    grad_i = coupling_i * x[i] - bias_i - ratio * np.log(1.0 / x[i] - 1.0)
+    gap_i = x[i] - x[i] ** 2
+    inverse_i = en.pt_inverse_scalar(coupling_i + ratio / gap_i, thermo.floor)
+    xdot_i = inverse_i * gap_i / thermo.temp * -grad_i
+
+    def resid(j):  # p_j x_j + (L y)_j, one hop from j
+        return p[j] * x[j] + lap_row(j, y)
+
+    ydot_i = -alpha * weight * (len(nbrs) * resid(i) - sum(resid(j) for j in nbrs))
+    return float(xdot_i), float(ydot_i)
+
+
+def median_step_time(method, n, steps=50, seed=0, repeats=3):
+    """Median per-step wall time of a flow at a given problem size, timing the
+    integrator's step directly (``run`` skips the steps of a frozen state)."""
+    flow, _ = bench.NN_METHODS[method]
+    instance = random_instance(n, seed, p_ref=bench._SWEEP_P_REF_PER_AGENT * n)
+    graph = random_connected_graph(n, seed=seed)
+    config = dynamics.SolverConfig(step=1e-3)
+    mode = "distributed" if flow == "binnn-d" else "centralized"
+    times = []
+    for _ in range(repeats):
+        state = dynamics.init_state(n, seed=seed, mode=mode)
+        start = time.perf_counter()
+        rates = dynamics.flow_rates(flow, instance, graph, config.thermo, alpha=1.0)
+        for _ in range(steps):
+            dynamics._step(rates, state.x, state.y, config)
+        times.append((time.perf_counter() - start) / steps)
+    return float(np.median(times))

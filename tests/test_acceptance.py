@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from binalloc import (
     AnnealSchedule,
@@ -25,12 +24,10 @@ from binalloc import (
 from binalloc.bench import (
     CampaignConfig,
     TrialRecord,
-    median_step_time,
     q_metric,
     run_campaign,
 )
 from binalloc.energy import (
-    Thermo as _Thermo,
     energy,
     energy_tilde,
     grad,
@@ -41,12 +38,12 @@ from binalloc.energy import (
 )
 from binalloc.graphs import (
     build_graph,
-    named_topology,
     random_connected_graph,
     y_star,
 )
 from binalloc.instances import default_quad, fit_coefficients, random_instance
 from binalloc.dynamics import flow_rates, terminal_diagnostics
+from oracles import median_step_time
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 

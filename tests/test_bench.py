@@ -9,7 +9,6 @@ from binalloc.bench import (
     NN_METHODS,
     CampaignConfig,
     TrialRecord,
-    median_step_time,
     q_metric,
     run_campaign,
     runtime_sweep,
@@ -22,6 +21,7 @@ from binalloc.cli import build_parser
 from binalloc.errors import IncompleteCampaignError
 from binalloc.graphs import random_connected_graph
 from binalloc.instances import random_instance
+from oracles import median_step_time
 
 FAST_SOLVER = SolverConfig(
     thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
@@ -258,27 +258,24 @@ def test_runtime_sweep_skips_big_brute():
 
 
 def test_csv_writers(tmp_path):
+    # exact bytes: 12 significant digits, an infinite cost, a failure's class name, booleans
     recs = records_from_table({"a": [1.0, 2.0], "b": [2.0, 1.0]})
-    cpath = tmp_path / "campaign.csv"
-    write_campaign_csv(recs, cpath)
-    with open(cpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["trial", "method", "cost", "wall_time", "iterations",
-                       "converged", "error"]
-    assert len(rows) == 5
-
-    qpath = tmp_path / "q.csv"
-    write_q_csv(q_metric(recs), qpath)
-    with open(qpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["method", "Q"]
-
-    spath = tmp_path / "scaling.csv"
-    write_sweep_csv([{"n": 6, "method": "greedy", "median_seconds": 0.25,
-                      "trials": 3}], spath)
-    with open(spath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[1] == ["6", "greedy", "0.25", "3"]
+    recs[3] = TrialRecord(trial=1, method="b", cost=float("inf"), wall_time=1e-07,
+                          iterations=2511, converged=False, error="NumericFailureError")
+    path = tmp_path / "out.csv"
+    write_campaign_csv(recs, path)
+    assert path.read_bytes() == (
+        b"trial,method,cost,wall_time,iterations,converged,error\r\n"
+        b"0,a,1,0,1,True,\r\n1,a,2,0,1,True,\r\n0,b,2,0,1,True,\r\n"
+        b"1,b,inf,1e-07,2511,False,NumericFailureError\r\n"
+    )
+    write_q_csv(q_metric(recs), path)
+    assert path.read_bytes() == b"method,Q\r\na,1\r\nb,0\r\n"
+    write_sweep_csv([{"n": 6, "method": "greedy", "median_seconds": 0.25, "trials": 3},
+                     {"n": 8, "method": "brute", "median_seconds": 1.0 / 3.0, "trials": 1}], path)
+    assert path.read_bytes() == (
+        b"n,method,median_seconds,trials\r\n6,greedy,0.25,3\r\n8,brute,0.333333333333,1\r\n"
+    )
 
 
 def test_campaign_csv_floats_have_12_significant_digits(tmp_path):

@@ -135,13 +135,16 @@ def test_anneal_flag_is_a_usage_error(two_agent_file):
     # the file lists its edges, so no graph is generated
     ["solve", "{file}", "--method", "binnn-d", "--extra-edges", "0.5"],
     ["solve", "{file}", "--method", "binnn-d-da", "--topology", "ring"],
+    ["solve", "{file}", "--method", "binnn-d", "--graph-seed", "5"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/short.csv"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/long.csv"],
+    ["solve", "{dir}/empty.json", "--method", "hnn"],
 ], ids=["h-nan", "t-max-inf", "extra-edges", "extra-edges-on-edges", "topology-on-edges",
-        "frac-short", "frac-long"])
+        "graph-seed-on-edges", "frac-short", "frac-long", "no-agents"])
 def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, capsys, argv):
     # the settings are checked before any method runs; the instance has 2 agents
     out = tmp_path / "x.json"
+    (tmp_path / "empty.json").write_text('{"n": 0, "p": [], "c": []}')
     (tmp_path / "short.csv").write_text("0.9\n")
     (tmp_path / "long.csv").write_text("0.9,0.2,0.5\n")
     code = run_cli([arg.format(file=two_agent_file, out=out, dir=tmp_path) for arg in argv])
@@ -156,9 +159,11 @@ def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, c
     ["gen", "--n", "6", "--topology", "complete", "--extra-edges", "0.5", "--out", "{out}"],
     ["gen", "--n", "6", "--extra-edges", "0.5", "--out", "{out}"],
     ["solve", "{file}", "--method", "binnn-d", "--topology", "ring", "--extra-edges", "0.9"],
-], ids=["gen-ring", "gen-path", "gen-complete", "gen-no-topology", "solve-ring"])
+    ["solve", "{file}", "--method", "binnn-d", "--topology", "ring", "--graph-seed", "5"],
+], ids=["gen-ring", "gen-path", "gen-complete", "gen-no-topology", "solve-ring",
+        "solve-ring-graph-seed"])
 def test_extra_edges_without_a_random_graph_is_usage_error(two_agent_file, tmp_path, argv):
-    # only the random topology reads the flag; refused before anything runs
+    # only the random topology reads --extra-edges and --graph-seed; refused before anything runs
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
         run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
@@ -171,7 +176,9 @@ def test_extra_edges_without_a_random_graph_is_usage_error(two_agent_file, tmp_p
     ["solve", "{file}", "--method", "binnn-c-da", "--topology", "random", "--extra-edges", "0.5"],
     ["solve", "{file}", "--method", "hnn", "--extra-edges", "0.5"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{file}", "--topology", "path"],
-], ids=["greedy-topology", "binnn-c-da-both", "hnn-extra-edges", "round-topology"])
+    ["solve", "{file}", "--method", "greedy", "--graph-seed", "5"],
+], ids=["greedy-topology", "binnn-c-da-both", "hnn-extra-edges", "round-topology",
+        "greedy-graph-seed"])
 def test_graph_flags_on_a_method_without_a_graph_are_usage_errors(two_agent_file, capsys, argv):
     # only binnn-d and binnn-d-da build a graph; refused before anything runs, so before
     # the instance file (which lists its edges) is read
@@ -395,6 +402,17 @@ def test_each_bench_flag_lands_in_its_own_field(tmp_path, monkeypatch, flag, val
     plain, flagged = configs
     assert plain == bench.CampaignConfig()
     assert _changed(_flat(plain), _flat(flagged)) == {changed}
+
+
+def test_graph_seed_seeds_the_random_graph_and_defaults_to_zero(tmp_path, monkeypatch, two_agent):
+    import binalloc.cli as cli
+
+    save_instance(two_agent, tmp_path / "free.json")  # no edge list: solve draws a random graph
+    seeds = []
+    monkeypatch.setattr(cli, "named_topology", lambda name, n, seed=None: seeds.append(seed))
+    for extra in ([], ["--graph-seed", "5"]):  # the graph is None, so the flow refuses to run
+        assert main(["solve", str(tmp_path / "free.json"), "--method", "binnn-d", *extra]) == 1
+    assert seeds == [0, 5]
 
 
 def test_sweep_writes_scaling_csv(tmp_path, capsys):

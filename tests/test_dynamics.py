@@ -9,7 +9,6 @@ from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc import energy as en
 from binalloc.dynamics import (
     FlowState,
-    agent_rates,
     flow_rates,
     init_state,
     terminal_diagnostics,
@@ -29,6 +28,7 @@ from binalloc.energy import (
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError
 from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance, residual_weight
+from oracles import agent_rates
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 

@@ -5,11 +5,9 @@ import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, run
 from binalloc import energy as en
-from binalloc.bench import median_step_time
 from binalloc.dynamics import flow_rates
 from binalloc.energy import (
     _secular_roots,
-    activation_inv,
     barrier_integral,
     centralized_ctx,
     distributed_ctx,
@@ -26,6 +24,7 @@ from binalloc.energy import (
 from binalloc.errors import DomainError, ShapeError
 from binalloc.graphs import random_connected_graph
 from binalloc.instances import Instance, random_instance
+from oracles import median_step_time
 
 
 def _fd_grad(fun, x, h=1e-6):
@@ -37,28 +36,6 @@ def _fd_grad(fun, x, h=1e-6):
         dn[i] -= h
         g[i] = (fun(up) - fun(dn)) / (2 * h)
     return g
-
-
-def test_activation_examples():
-    assert activation_inv(0.5, 3.7) == pytest.approx(0.0, abs=1e-15)
-    assert activation_inv(1.0 / (1.0 + np.exp(-1.0)), 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert activation_inv(1.0 / (1.0 + np.exp(2.0)), 0.5) == pytest.approx(-1.0, rel=1e-12)
-
-
-def test_activation_inverse_roundtrip():
-    rng = np.random.default_rng(0)
-    for temp in (0.3, 1.0, 4.0):
-        u = rng.uniform(-8, 8, 20) * temp
-        x = 1.0 / (1.0 + np.exp(-u / temp))  # the logistic activation
-        back = activation_inv(x, temp)
-        assert np.max(np.abs(back - u)) <= 1e-9 * (1 + np.max(np.abs(u)))
-
-
-def test_activation_inv_domain():
-    with pytest.raises(DomainError):
-        activation_inv(1.0, 1.0)
-    with pytest.raises(DomainError):
-        activation_inv(-0.1, 1.0)
 
 
 def test_barrier_examples():
@@ -81,7 +58,7 @@ def test_barrier_matches_quadrature():
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     for z in (0.2, 0.5, 0.83):
         s = np.linspace(0.1, z, 200001)
-        vals = activation_inv(s, 1.0)
+        vals = -np.log(1 / s - 1)
         approx = trapezoid(vals, s)
         diff = barrier_integral(z, 1.0) - barrier_integral(0.1, 1.0)
         assert diff == pytest.approx(approx, abs=1e-7)

@@ -19,7 +19,6 @@ from binalloc.errors import (
     InvalidGraphError,
     ShapeError,
 )
-from binalloc.graphs import build_graph
 from binalloc.instances import (
     DEFAULT_GAMMA,
     DEFAULT_P_REF,
@@ -177,6 +176,14 @@ def test_instance_validates_penalty_and_shapes():
                          ("center", [-1e308])):
         with pytest.raises(InvalidCoefficientError):
             Instance(**{**good, field: value})
+
+
+def test_instance_refuses_zero_agents():
+    # the flows divide by n; refused as a shape before any method runs
+    with pytest.raises(ShapeError, match="at least one agent"):
+        Instance(quad=[], center=[], passive=[], output=[], penalty=1.0, target=0.0)
+    with pytest.raises(ShapeError, match="at least one agent"):
+        from_json_dict({"n": 0, "p": [], "c": []})
 
 
 def test_json_round_trip(tmp_path, two_agent):
