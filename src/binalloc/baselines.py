@@ -44,21 +44,14 @@ def _set_cost(instance, total_output, incr_sum):
 
 def greedy(instance):
     """Repeatedly switch on the agent that lowers cost most; stop when none does."""
-    n = instance.n
-    c = instance.incr_cost
-    p = instance.output
+    c, p = instance.incr_cost, instance.output
     chosen = []
-    free = np.ones(n, dtype=bool)
+    free = np.ones(instance.n, dtype=bool)
     total, incr = 0.0, 0.0
     cost = _set_cost(instance, total, incr)
     while free.any():
         idx = np.flatnonzero(free)
-        cand = (
-            float(instance.passive.sum())
-            + incr
-            + c[idx]
-            + 0.5 * instance.penalty * (total + p[idx] - instance.target) ** 2
-        )
+        cand = _set_cost(instance, total + p[idx], incr + c[idx])
         k = int(np.argmin(cand))  # ties resolve to the lowest index
         if cand[k] >= cost:
             break
@@ -75,13 +68,14 @@ def round_relaxed(x_frac, instance):
     """Round a fractional point by descending value with strict-improvement stops."""
     x_frac = _vec(x_frac, instance.n, "x_frac")
     order = np.argsort(-x_frac, kind="stable")  # ties resolve to the lowest index
+    c, p = instance.incr_cost, instance.output
     chosen = []
     total, incr = 0.0, 0.0
     cost = _set_cost(instance, total, incr)
     for i in order:
         i = int(i)
-        total_new = total + instance.output[i]
-        incr_new = incr + instance.incr_cost[i]
+        total_new = total + p[i]
+        incr_new = incr + c[i]
         cost_new = _set_cost(instance, total_new, incr_new)
         if cost_new >= cost:
             break

@@ -200,3 +200,13 @@ def write_q_csv(scores, path):
 def write_sweep_csv(rows, path):
     header = ["n", "method", "median_seconds", "trials"]
     _write_csv(path, header, ([row[name] for name in header] for row in rows))
+
+
+def write_trajectory_csv(result, path):
+    """Columns: t, x_0..x_{n-1} [, y_0..y_{n-1}], energy; one row per sample."""
+    if not result.trajectory:
+        raise ValueError("result has no trajectory samples")
+    _, x, y, _ = result.trajectory[0]
+    names = [f"x_{i}" for i in range(len(x))] + ([] if y is None else [f"y_{i}" for i in range(len(y))])
+    _write_csv(path, ["t", *names, "energy"],
+               ([t, *x, *(() if y is None else y), e] for t, x, y, e in result.trajectory))

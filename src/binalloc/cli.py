@@ -115,7 +115,7 @@ def _cmd_solve(args):
     print(f"min_hessian_eig: {diag.min_hessian_eig:.6g}")
     print(f"local_min_certified: {diag.local_min_certified}")
     if args.traj_out:
-        dynamics.write_trajectory_csv(result, args.traj_out)
+        bench.write_trajectory_csv(result, args.traj_out)
         print(f"trajectory: {args.traj_out}")
     return 0
 

@@ -9,7 +9,6 @@ All are integrated with fixed-step explicit Euler.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -172,14 +171,6 @@ def _step(rates, x, y, config):
     return None
 
 
-def _jittered(thermo, rng):
-    return en.Thermo(
-        temp=thermo.temp * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
-        time_const=thermo.time_const * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
-        floor=thermo.floor,
-    )
-
-
 def _sample(samples, instance, graph, thermo, state, ctx, e=None):
     """Append a trajectory point; ``e``, when given, is the state's known energy."""
     if e is None and state.y is None:
@@ -190,32 +181,39 @@ def _sample(samples, instance, graph, thermo, state, ctx, e=None):
     return e
 
 
+def _check_graph(instance, graph):
+    if graph is None:
+        raise ValueError("the distributed flow requires a graph")
+    if graph.n != instance.n:
+        raise ShapeError("graph and instance sizes differ")
+    if not is_connected(graph):
+        raise ConnectivityError("the distributed flow requires a connected graph")
+
+
 def _prepare(flow, instance, graph, config):
     if flow not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {flow!r}")
     if flow == "binnn-d":
-        if graph is None:
-            raise ValueError("the distributed flow requires a graph")
-        if graph.n != instance.n:
-            raise ShapeError("graph and instance sizes differ")
-        if not is_connected(graph):
-            raise ConnectivityError("the distributed flow requires a connected graph")
+        _check_graph(instance, graph)
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_seed, jitter_seed = ss.spawn(2)
     mode = "distributed" if flow == "binnn-d" else "centralized"
     state = init_state(instance.n, config.eps_init, seed=init_seed, mode=mode)
-    thermo = _jittered(config.thermo, np.random.default_rng(jitter_seed))
+    rng, knobs = np.random.default_rng(jitter_seed), config.thermo
+    thermo = replace(knobs, temp=knobs.temp * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
+                     time_const=knobs.time_const * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER))
     return state, thermo
 
 
-def _solve(flow, instance, graph, config, rounds, duration, shrink):
+def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     """Integrate ``rounds`` rounds of ``duration`` simulated time each, applying
-    ``shrink`` to the knobs after every round. A round is ceil(duration / h)
-    steps, counted: t, summed one h at a time, drifts. A round ends early once
-    the flow converges, which requires both a small velocity and a small energy
-    gradient, so terminal points certify as near-critical (the velocity alone
-    can be small near corners where the activation slope vanishes).
+    ``shrink`` to the knobs before every round but the first. A round is
+    ceil(duration / h) steps, counted: t, summed one h at a time, drifts. A
+    round ends early once the flow converges, which requires both a small
+    velocity and a small energy gradient, so terminal points certify as
+    near-critical (the velocity alone can be small near corners where the
+    activation slope vanishes).
 
     One copy of (x, y) is stepped in place across the rounds, and one energy
     context serves the whole solve. The rates read (x, y) alone, so once a step
@@ -236,7 +234,9 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink):
     start = time.perf_counter()
     # a diverging run overflows on its way to the non-finite rate that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(rounds):
+        for k in range(rounds):
+            if k:
+                thermo = shrink(thermo)
             rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
             taken, stop = 0, None  # the freeze test and the sample stride count a round's steps
             while taken < steps:
@@ -268,9 +268,8 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink):
                 raise NumericFailureError(stop, state=FlowState(x, y, t), trajectory=samples,
                                           iterations=iterations)
             round_ends.append(x.copy())
-            thermo = shrink(thermo)
     wall = time.perf_counter() - start
-    if stride > 0:
+    if stride > 0 and samples[-1][0] != t:  # the end state, unless the stride just sampled it
         _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
     bits = round_to_binary(x)
     return RunResult(x_final=x, y_final=y, bits=bits, cost=eval_p1(instance, bits),
@@ -282,15 +281,15 @@ def run(flow, instance, graph=None, config=None):
     """Integrate one flow from a random interior start until it stalls: one
     round of ``config.t_max`` at fixed knobs."""
     config = config or SolverConfig()
-    return _solve(flow, instance, graph, config, 1, config.t_max, lambda thermo: thermo)
+    return _solve(flow, instance, graph, config, 1, config.t_max)
 
 
 def anneal(flow, instance, graph=None, config=None):
     """Run the flow in learning rounds, shrinking the barrier knobs each round.
 
     The state carries over between rounds; each round integrates for the
-    schedule's duration (early exit when the flow stalls), then the
-    configured knob is applied.
+    schedule's duration (early exit when the flow stalls) at knobs that the
+    configured knob has shrunk once per round before it.
     """
     config = config or SolverConfig()
     sched = config.anneal
@@ -315,8 +314,7 @@ def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x)
         min_eig = ctx.min_hessian_eig(curvature)
         grad_y_inf = None
     else:
-        if graph is None:
-            raise ValueError("the distributed flow requires a graph")
+        _check_graph(instance, graph)
         # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
         _, ydot, g = flow_rates("binnn-d", instance, graph, thermo, 1.0, ctx)(x, y)
         grad_y_inf = float(np.max(np.abs(ydot)))
@@ -325,24 +323,3 @@ def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x)
     certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
     return Diagnostics(grad_inf=grad_inf, grad_y_inf=grad_y_inf, min_hessian_eig=min_eig,
                        local_min_certified=certified)
-
-
-def write_trajectory_csv(result, path):
-    """Columns: t, x_0..x_{n-1} [, y_0..y_{n-1}], energy; one row per sample."""
-    if not result.trajectory:
-        raise ValueError("result has no trajectory samples")
-    n = len(result.trajectory[0][1])
-    has_y = result.trajectory[0][2] is not None
-    header = ["t"] + [f"x_{i}" for i in range(n)]
-    if has_y:
-        header += [f"y_{i}" for i in range(n)]
-    header.append("energy")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, x, y, e in result.trajectory:
-            row = [f"{t:.12g}"] + [f"{v:.12g}" for v in x]
-            if has_y:
-                row += [f"{v:.12g}" for v in y]
-            row.append(f"{e:.12g}")
-            writer.writerow(row)

@@ -257,6 +257,10 @@ def test_runtime_sweep_skips_big_brute():
     assert [r["method"] for r in rows] == ["greedy"]
 
 
+def test_runtime_sweep_skips_a_size_that_no_method_runs():
+    assert runtime_sweep([30], ("brute",), per_n_trials=1, solver=FAST_SOLVER) == []
+
+
 def test_csv_writers(tmp_path):
     # exact bytes: 12 significant digits, an infinite cost, a failure's class name, booleans
     recs = records_from_table({"a": [1.0, 2.0], "b": [2.0, 1.0]})

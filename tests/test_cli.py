@@ -121,6 +121,16 @@ def test_solve_annealed_method_prints_its_anneal(two_agent_file, two_agent, pair
     assert shown["iterations"] == str(want.iterations)
 
 
+def test_a_converged_anneal_certifies_at_its_last_rounds_knobs(two_agent_file, capsys):
+    # the diagnostics read the knobs the last round ran, not those one shrink past it
+    for seed in range(10):
+        code = run_cli(["solve", two_agent_file, "--method", "binnn-c-da", "--steps", "2",
+                        "--td", "500", "--beta", "1.1", "--tol", "1e-4", "--seed", str(seed)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "converged: True" in out and "local_min_certified: True" in out
+
+
 def test_anneal_flag_is_a_usage_error(two_agent_file):
     # an annealed run is a method of its own, binnn-c-da
     with pytest.raises(SystemExit) as exc:

@@ -7,12 +7,12 @@ import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc import energy as en
+from binalloc.bench import write_trajectory_csv
 from binalloc.dynamics import (
     FlowState,
     flow_rates,
     init_state,
     terminal_diagnostics,
-    write_trajectory_csv,
 )
 from binalloc.energy import (
     centralized_ctx,
@@ -25,7 +25,7 @@ from binalloc.energy import (
     pt_inverse,
     pt_inverse_scalar,
 )
-from binalloc.errors import ConnectivityError, DomainError, NumericFailureError
+from binalloc.errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
 from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance, residual_weight
 from oracles import agent_rates
@@ -543,6 +543,19 @@ def test_terminal_diagnostics_distributed_needs_a_graph():
         terminal_diagnostics(result, inst)
 
 
+@pytest.mark.parametrize("graph, error", [
+    (named_topology("path", 3), ShapeError),
+    (build_graph(2, []), ConnectivityError),
+])
+def test_a_distributed_solve_and_its_diagnostics_check_the_graph(two_agent, pair_graph, graph, error):
+    cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)
+    result = run("binnn-d", two_agent, graph=pair_graph, config=cfg)
+    with pytest.raises(error):
+        run("binnn-d", two_agent, graph=graph, config=cfg)
+    with pytest.raises(error):
+        terminal_diagnostics(result, two_agent, graph=graph)
+
+
 def test_terminal_diagnostics_rejects_a_state_on_the_boundary():
     inst = small_instance(5, seed=19)
     cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)
@@ -621,6 +634,29 @@ def test_trajectory_csv_format(tmp_path):
         assert len(vals) == 8
 
 
+def test_trajectory_csv_bytes(two_agent, tmp_path):
+    # exact bytes: 12 significant digits, exponents, the y columns only where y is kept
+    cfg = SolverConfig(thermo=THERMO, t_max=0.0, sample_stride=0)
+    result = run("binnn-c", two_agent, config=cfg)
+    x0, x1 = np.array([1e-07, 1.0 / 3.0]), np.array([0.5, 0.999999999999])
+    y0, y1 = np.array([-2.0 / 3.0, 0.5]), np.array([1e-07, -1e-07])
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(replace(result, trajectory=[(0.0, x0, y0, 12.345678901234),
+                                                     (0.05, x1, y1, np.float64(-3.0))]), path)
+    assert path.read_bytes() == (
+        b"t,x_0,x_1,y_0,y_1,energy\r\n"
+        b"0,1e-07,0.333333333333,-0.666666666667,0.5,12.3456789012\r\n"
+        b"0.05,0.5,0.999999999999,1e-07,-1e-07,-3\r\n"
+    )
+    write_trajectory_csv(replace(result, trajectory=[(0.0, x0, None, 12.345678901234),
+                                                     (1e-07, x1, None, 2.0 / 3.0)]), path)
+    assert path.read_bytes() == (
+        b"t,x_0,x_1,energy\r\n"
+        b"0,1e-07,0.333333333333,12.3456789012\r\n"
+        b"1e-07,0.5,0.999999999999,0.666666666667\r\n"
+    )
+
+
 def test_trajectory_csv_requires_samples(two_agent, tmp_path):
     cfg = SolverConfig(thermo=THERMO, t_max=0.0, sample_stride=0)
     result = run("binnn-c", two_agent, config=cfg)
@@ -628,9 +664,46 @@ def test_trajectory_csv_requires_samples(two_agent, tmp_path):
         write_trajectory_csv(result, tmp_path / "x.csv")
 
 
+def test_anneal_reports_the_knobs_of_its_last_round(monkeypatch):
+    # thermo_final, which the diagnostics read, and the end sample hold the knobs the flow last ran
+    ran = []
+    kernel = dynamics.flow_rates
+
+    def recorded(flow, instance, graph, thermo, *args):
+        ran.append(thermo)
+        return kernel(flow, instance, graph, thermo, *args)
+
+    monkeypatch.setattr(dynamics, "flow_rates", recorded)
+    inst, graph = small_instance(5, seed=30), named_topology("ring", 5)
+    cfg = SolverConfig(thermo=THERMO, step=0.02, seed=3, t_max=0.5, sample_stride=7,
+                       anneal=AnnealSchedule(beta=1.4, t_d=0.5, steps=4))
+    for flow in dynamics.FLOW_KINDS:
+        for solve, rounds in ((anneal, 4), (run, 1)):
+            ran.clear()
+            result = solve(flow, inst, graph if flow == "binnn-d" else None, cfg)
+            assert len(ran) == rounds and result.thermo_final == ran[-1]
+            _, x, y, e = result.trajectory[-1]
+            assert x.tobytes() == result.x_final.tobytes()
+            assert e == (energy(inst, ran[-1], x) if y is None
+                         else energy_tilde(inst, graph, ran[-1], x, y))
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_a_trajectory_samples_its_end_state_once(stride):
+    # 100 steps a round: the stride's last sample falls on the end time, or does not
+    inst = random_instance(6, 0, p_ref=90.0)
+    cfg = SolverConfig(seed=0, t_max=1.0, sample_stride=stride, anneal=AnnealSchedule(steps=3))
+    for solve in (run, anneal):
+        result = solve("hnn", inst, config=cfg)
+        times = [t for t, _, _, _ in result.trajectory]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert result.trajectory[-1][1].tobytes() == result.x_final.tobytes()
+
+
 def _step_by_step(flow, instance, graph, config):
     """run()/anneal() as a plain loop that computes every step, ceil(duration/h)
-    of them per round."""
+    of them per round, with the knobs shrunk between rounds and the end state
+    sampled once."""
     state, thermo = dynamics._prepare(flow, instance, graph, config)
     stride, sched = config.sample_stride, config.anneal
     samples, round_ends, iterations = [], [], 0
@@ -644,7 +717,9 @@ def _step_by_step(flow, instance, graph, config):
     sample(state)
     # a diverging run overflows on its way to the non-finite rate that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(sched.steps if sched else 1):
+        for k in range(sched.steps if sched else 1):
+            if k:
+                thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
             duration = sched.t_d if sched else config.t_max
             rates = flow_rates(flow, instance, graph, thermo, config.alpha)
             steps = 0  # the sample stride counts the steps of a round
@@ -663,9 +738,8 @@ def _step_by_step(flow, instance, graph, config):
                     sample(state)
             iterations += steps
             round_ends.append(state.x)
-            if sched:
-                thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
-    sample(state)
+    if not samples or samples[-1][0] != state.t:
+        sample(state)
     return state, iterations, samples, round_ends, thermo
 
 
@@ -723,7 +797,7 @@ def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls):
     inst = random_instance(20, 5, p_ref=1500.0)
     cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
-    assert len(result.trajectory) == 1 + result.iterations // 10 + 1
+    assert len(result.trajectory) == 1 + result.iterations // 10
     assert rate_calls[0] < result.iterations  # it froze, and was fast-forwarded
 
 

@@ -210,6 +210,17 @@ def test_pt_inverse_rejects_bad_input():
         pt_inverse(np.eye(2), 0.0)
 
 
+def test_kernels_refuse_a_wrong_size_and_a_floor_not_above_zero(two_agent, pair_graph):
+    thermo = Thermo(1.0, 0.1, 0.1)
+    with pytest.raises(ShapeError):
+        grad(two_agent, thermo, [0.5, 0.5, 0.5])
+    with pytest.raises(ShapeError):
+        en.eval_p2(two_agent, random_connected_graph(3, seed=0), [0.5, 0.5], [0.0, 0.0])
+    for floor in (0.0, -0.1):
+        with pytest.raises(ValueError, match="floor"):
+            pt_inverse_scalar(1.0, floor)
+
+
 def test_pt_inverse_scalar_examples():
     assert pt_inverse_scalar(-4.0, 0.1) == pytest.approx(0.25)
     assert pt_inverse_scalar(0.01, 0.1) == pytest.approx(10.0)

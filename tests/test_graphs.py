@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binalloc import graphs
-from binalloc.errors import ConnectivityError, InvalidGraphError
+from binalloc.errors import ConnectivityError, InvalidGraphError, ShapeError
 from binalloc.graphs import (
     build_graph,
     is_connected,
@@ -43,6 +43,18 @@ def test_is_connected_examples():
     assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
     assert not is_connected(build_graph(2, []))
     assert is_connected(named_topology("complete", 5))
+
+
+def test_graph_guards():
+    assert is_connected(build_graph(0, []))  # no node is left unreached
+    with pytest.raises(ConnectivityError):
+        y_star(build_graph(3, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
+    with pytest.raises(ShapeError):
+        y_star(build_graph(2, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ShapeError):
+        y_star(build_graph(2, [(0, 1)]), [1.0, 1.0], [0.5])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_connected_graph(0)
 
 
 def test_fiedler_positive_for_connected():

@@ -161,6 +161,13 @@ def test_random_instance_degenerate_ranges():
     assert inst.incr_cost[0] == pytest.approx(4.0, rel=1e-12)
 
 
+def test_vectors_must_be_one_dimensional_and_ranges_ordered():
+    with pytest.raises(ShapeError, match="one-dimensional"):
+        round_to_binary([[0.2, 0.7]])
+    with pytest.raises(ValueError, match="p_range"):
+        random_instance(4, 0, p_range=(5.0, 1.0))
+
+
 def test_instance_validates_penalty_and_shapes():
     with pytest.raises(ValueError):
         Instance(quad=[-1.0], center=[0.5], passive=[0.0], output=[1.0],
