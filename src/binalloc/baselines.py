@@ -36,8 +36,7 @@ def _exact(instance, chosen):
     return SetSolution(chosen=chosen, cost=eval_p1(instance, x))
 
 
-def _set_cost(instance, total_output, incr_sum):
-    base = float(instance.passive.sum())
+def _set_cost(instance, base, total_output, incr_sum):
     mismatch = total_output - instance.target
     return base + incr_sum + 0.5 * instance.penalty * mismatch * mismatch
 
@@ -47,11 +46,11 @@ def greedy(instance):
     c, p = instance.incr_cost, instance.output
     chosen = []
     free = np.ones(instance.n, dtype=bool)
-    total, incr = 0.0, 0.0
-    cost = _set_cost(instance, total, incr)
+    total, incr, base = 0.0, 0.0, float(instance.passive.sum())  # summed once, not per agent tried
+    cost = _set_cost(instance, base, total, incr)
     while free.any():
         idx = np.flatnonzero(free)
-        cand = _set_cost(instance, total + p[idx], incr + c[idx])
+        cand = _set_cost(instance, base, total + p[idx], incr + c[idx])
         k = int(np.argmin(cand))  # ties resolve to the lowest index
         if cand[k] >= cost:
             break
@@ -70,13 +69,13 @@ def round_relaxed(x_frac, instance):
     order = np.argsort(-x_frac, kind="stable")  # ties resolve to the lowest index
     c, p = instance.incr_cost, instance.output
     chosen = []
-    total, incr = 0.0, 0.0
-    cost = _set_cost(instance, total, incr)
+    total, incr, base = 0.0, 0.0, float(instance.passive.sum())  # summed once, not per agent tried
+    cost = _set_cost(instance, base, total, incr)
     for i in order:
         i = int(i)
         total_new = total + p[i]
         incr_new = incr + c[i]
-        cost_new = _set_cost(instance, total_new, incr_new)
+        cost_new = _set_cost(instance, base, total_new, incr_new)
         if cost_new >= cost:
             break
         chosen.append(i)

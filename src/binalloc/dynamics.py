@@ -93,12 +93,12 @@ class RunResult:
     y_final: np.ndarray | None
     bits: np.ndarray
     cost: float
-    trajectory: list
+    trajectory: list  # (t, x, y, e) samples; read-only arrays, shared while the state stands still
     iterations: int
     wall_time: float
     converged: bool
     thermo_final: en.Thermo
-    round_ends: tuple  # x at the end of each round; run() is one round
+    round_ends: tuple  # read-only x at each round's end, the sample's array if sampled; run() is one round
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,20 @@ def _step(rates, x, y, config):
     return None
 
 
-def _sample(samples, instance, graph, thermo, state, ctx, e=None):
-    """Append a trajectory point; ``e``, when given, is the state's known energy."""
+def _sample(samples, instance, graph, thermo, state, ctx, e=None, same=False):
+    """Append a trajectory point, with the last one's arrays if ``same``; ``e``, if given, is its energy."""
     if e is None and state.y is None:
         e = en.energy(instance, thermo, state.x)
     elif e is None:
         e = en.energy_tilde(instance, graph, thermo, state.x, state.y, ctx)
-    samples.append((state.t, state.x.copy(), None if state.y is None else state.y.copy(), e))
+    x, y = samples[-1][1:3] if same else (_stored(state.x), _stored(state.y))
+    samples.append((state.t, x, y, e))
     return e
+
+
+def _stored(v):
+    """``v`` read-only, copied unless it already is (None stays None): a stored state may be shared."""
+    return v if v is None or not v.flags.writeable else np.frombuffer(v.tobytes(), v.dtype)
 
 
 def _check_graph(instance, graph):
@@ -221,7 +227,10 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     round, then every 16) every later step of the round repeats it: those steps
     are counted, and t and the samples taken, without computing them. The
     result is the step-by-step loop's, exactly. On binnn-d a round that ends
-    with sum(y) non-finite or drifted from zero fails.
+    with sum(y) non-finite or drifted from zero fails. Stored states are read-only,
+    and a state that did not move is stored once, in arrays shared by a frozen
+    stretch's samples (and the last sample, if equal), by a round end and its
+    sample, and by the end sample and the last round end.
     """
     state, thermo = _prepare(flow, instance, graph, config)
     ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
@@ -251,12 +260,14 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
                 if stride > 0 and taken % stride == 0:
                     _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
                 if check and before == (x.tobytes(), None if y is None else y.tobytes()):
-                    e = None
+                    e, same = None, stride > 0 and before == (  # one compare a stretch
+                        samples[-1][1].tobytes(), None if y is None else samples[-1][2].tobytes())
                     while taken < steps:
                         t += h
                         taken += 1
                         if stride > 0 and taken % stride == 0:
-                            e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx, e)
+                            e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx, e, same)
+                            same = True
             iterations += taken
             if stop != "non-finite flow rate" and y is not None:
                 total = float(y.sum())
@@ -267,10 +278,10 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
             if stop not in (None, "converged"):
                 raise NumericFailureError(stop, state=FlowState(x, y, t), trajectory=samples,
                                           iterations=iterations)
-            round_ends.append(x.copy())
+            round_ends.append(samples[-1][1] if stride > 0 and samples[-1][0] == t else _stored(x))
     wall = time.perf_counter() - start
     if stride > 0 and samples[-1][0] != t:  # the end state, unless the stride just sampled it
-        _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
+        _sample(samples, instance, graph, thermo, FlowState(round_ends[-1], y, t), ctx)
     bits = round_to_binary(x)
     return RunResult(x_final=x, y_final=y, bits=bits, cost=eval_p1(instance, bits),
                      trajectory=samples, iterations=iterations, wall_time=wall,

@@ -757,6 +757,16 @@ def _assert_same_as_step_by_step(flow, instance, graph, config):
     assert result.thermo_final == thermo
     assert [x.tobytes() for x in result.round_ends] == [x.tobytes() for x in round_ends]
     _assert_same_samples(result.trajectory, samples)
+    # a round end that was sampled is its sample's array, as in the step-by-step loop
+    sampled = {id(x): k for k, (_, x, _, _) in enumerate(samples)}
+    for end, end_ref in zip(result.round_ends, round_ends):
+        assert id(end_ref) not in sampled or end is result.trajectory[sampled[id(end_ref)]][1]
+    # stored states are read-only, so a write cannot reach the samples sharing one
+    stored = [v for _, x, y, _ in result.trajectory for v in (x, y) if v is not None]
+    assert not any(v.flags.writeable for v in stored + list(result.round_ends))
+    if stored:
+        with pytest.raises(ValueError):
+            stored[-1][0] = 0.5
     return result
 
 
@@ -799,6 +809,11 @@ def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls):
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
     assert len(result.trajectory) == 1 + result.iterations // 10
     assert rate_calls[0] < result.iterations  # it froze, and was fast-forwarded
+    # the start and the corner: one array each, shared by every sample of it
+    assert len({id(x) for _, x, _, _ in result.trajectory}) == 2
+    assert len({x.tobytes() for _, x, _, _ in result.trajectory}) == 2
+    # 10 divides a round's 100 steps: every round end is a sample's array
+    assert all(end is result.trajectory[-1][1] for end in result.round_ends)
 
 
 def test_fast_forward_needs_y_frozen_too():
