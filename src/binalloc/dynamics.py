@@ -98,7 +98,7 @@ class RunResult:
     wall_time: float
     converged: bool
     thermo_final: en.Thermo
-    round_ends: tuple  # read-only x at each round's end, the sample's array if sampled; run() is one round
+    round_ends: tuple  # read-only x at each round's end, stored as the samples are; run() is one round
 
 
 @dataclass(frozen=True)
@@ -171,22 +171,6 @@ def _step(rates, x, y, config):
     return None
 
 
-def _sample(samples, instance, graph, thermo, state, ctx, e=None, same=False):
-    """Append a trajectory point, with the last one's arrays if ``same``; ``e``, if given, is its energy."""
-    if e is None and state.y is None:
-        e = en.energy(instance, thermo, state.x)
-    elif e is None:
-        e = en.energy_tilde(instance, graph, thermo, state.x, state.y, ctx)
-    x, y = samples[-1][1:3] if same else (_stored(state.x), _stored(state.y))
-    samples.append((state.t, x, y, e))
-    return e
-
-
-def _stored(v):
-    """``v`` read-only, copied unless it already is (None stays None): a stored state may be shared."""
-    return v if v is None or not v.flags.writeable else np.frombuffer(v.tobytes(), v.dtype)
-
-
 def _check_graph(instance, graph):
     if graph is None:
         raise ValueError("the distributed flow requires a graph")
@@ -224,13 +208,13 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     One copy of (x, y) is stepped in place across the rounds, and one energy
     context serves the whole solve. The rates read (x, y) alone, so once a step
     leaves them bit-for-bit unchanged (tested after steps 1, 2, 4 and 8 of a
-    round, then every 16) every later step of the round repeats it: those steps
-    are counted, and t and the samples taken, without computing them. The
-    result is the step-by-step loop's, exactly. On binnn-d a round that ends
-    with sum(y) non-finite or drifted from zero fails. Stored states are read-only,
-    and a state that did not move is stored once, in arrays shared by a frozen
-    stretch's samples (and the last sample, if equal), by a round end and its
-    sample, and by the end sample and the last round end.
+    round, then every 16) the round is frozen: every later step repeats it, so
+    those steps are counted, and t and the samples taken, without computing
+    them. The result is the step-by-step loop's, exactly. A sampled energy that
+    is not finite fails, and so does a binnn-d round that ends with sum(y)
+    non-finite or drifted from zero. A stored state (a sample, a round end or
+    the end sample) is read-only, and reuses the arrays of the last stored state
+    while its bytes are equal; at the same knobs it also reuses that state's energy.
     """
     state, thermo = _prepare(flow, instance, graph, config)
     ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
@@ -238,36 +222,50 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     steps = math.ceil(duration / h - 1e-9)
     x, y, t = state.x, state.y, state.t
     samples, round_ends, iterations = [], [], 0
-    if stride > 0:
-        _sample(samples, instance, graph, thermo, state, ctx)
-    start = time.perf_counter()
-    # a diverging run overflows on its way to the non-finite rate that raises
+    last = (None,) * 6  # the last stored state: x bytes, y bytes, read-only x and y, knobs, energy
+
+    def store(knobs=None):
+        """(x, y) read-only and, given ``knobs``, its energy at them; see the rule above."""
+        nonlocal last
+        xb, yb = x.tobytes(), None if y is None else y.tobytes()
+        if (xb, yb) != last[:2]:
+            ry = None if y is None else np.frombuffer(yb, y.dtype)
+            last = xb, yb, np.frombuffer(xb, x.dtype), ry, None, None
+        if knobs is not None and knobs is not last[4]:
+            last = last[:4] + (knobs, en.energy(instance, knobs, x) if y is None
+                               else en.energy_tilde(instance, graph, knobs, x, y, ctx))
+        return last[2], last[3], last[5]
+
+    def sample(done):  # ``done`` steps into the solve
+        xs, ys, e = store(thermo)
+        if not math.isfinite(e):
+            raise NumericFailureError("non-finite energy", state=FlowState(x, y, t), trajectory=samples,
+                                      iterations=done)
+        samples.append((t, xs, ys, e))
+
+    # a diverging run overflows on its way to the non-finite rate or energy that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if stride > 0:
+            sample(0)
+        start = time.perf_counter()
         for k in range(rounds):
             if k:
                 thermo = shrink(thermo)
             rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
-            taken, stop = 0, None  # the freeze test and the sample stride count a round's steps
+            taken, stop, frozen = 0, None, False  # the freeze test and the sample stride count a round's steps
             while taken < steps:
-                check = (taken + 1) % _FREEZE_CHECK == 0 or taken + 1 in (1, 2, 4, 8)
-                if check:
-                    before = x.tobytes(), None if y is None else y.tobytes()
-                stop = _step(rates, x, y, config)
-                if stop:
-                    break
+                if not frozen:
+                    check = (taken + 1) % _FREEZE_CHECK == 0 or taken + 1 in (1, 2, 4, 8)
+                    if check:
+                        before = x.tobytes(), None if y is None else y.tobytes()
+                    stop = _step(rates, x, y, config)
+                    if stop:
+                        break
+                    frozen = check and before == (x.tobytes(), None if y is None else y.tobytes())
                 t += h
                 taken += 1
                 if stride > 0 and taken % stride == 0:
-                    _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx)
-                if check and before == (x.tobytes(), None if y is None else y.tobytes()):
-                    e, same = None, stride > 0 and before == (  # one compare a stretch
-                        samples[-1][1].tobytes(), None if y is None else samples[-1][2].tobytes())
-                    while taken < steps:
-                        t += h
-                        taken += 1
-                        if stride > 0 and taken % stride == 0:
-                            e = _sample(samples, instance, graph, thermo, FlowState(x, y, t), ctx, e, same)
-                            same = True
+                    sample(iterations + taken)
             iterations += taken
             if stop != "non-finite flow rate" and y is not None:
                 total = float(y.sum())
@@ -278,10 +276,10 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
             if stop not in (None, "converged"):
                 raise NumericFailureError(stop, state=FlowState(x, y, t), trajectory=samples,
                                           iterations=iterations)
-            round_ends.append(samples[-1][1] if stride > 0 and samples[-1][0] == t else _stored(x))
-    wall = time.perf_counter() - start
-    if stride > 0 and samples[-1][0] != t:  # the end state, unless the stride just sampled it
-        _sample(samples, instance, graph, thermo, FlowState(round_ends[-1], y, t), ctx)
+            round_ends.append(store()[0])
+        wall = time.perf_counter() - start
+        if stride > 0 and samples[-1][0] != t:  # the end state, unless the stride just sampled it
+            sample(iterations)
     bits = round_to_binary(x)
     return RunResult(x_final=x, y_final=y, bits=bits, cost=eval_p1(instance, bits),
                      trajectory=samples, iterations=iterations, wall_time=wall,

@@ -7,7 +7,7 @@ import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc import energy as en
-from binalloc.bench import write_trajectory_csv
+from binalloc.bench import CampaignConfig, write_trajectory_csv
 from binalloc.dynamics import (
     FlowState,
     flow_rates,
@@ -702,21 +702,24 @@ def test_a_trajectory_samples_its_end_state_once(stride):
 
 def _step_by_step(flow, instance, graph, config):
     """run()/anneal() as a plain loop that computes every step, ceil(duration/h)
-    of them per round, with the knobs shrunk between rounds and the end state
-    sampled once."""
+    of them per round, with the knobs shrunk between rounds, the end state
+    sampled once and a non-finite sampled energy failing the solve."""
     state, thermo = dynamics._prepare(flow, instance, graph, config)
     stride, sched = config.sample_stride, config.anneal
     samples, round_ends, iterations = [], [], 0
 
-    def sample(s):
+    def sample(s, done):
         if stride > 0:
             e = (energy(instance, thermo, s.x) if s.y is None
                  else energy_tilde(instance, graph, thermo, s.x, s.y))
+            if not math.isfinite(e):
+                raise NumericFailureError("non-finite energy", state=s, trajectory=samples,
+                                          iterations=done)
             samples.append((s.t, s.x, s.y, e))
 
-    sample(state)
-    # a diverging run overflows on its way to the non-finite rate that raises
+    # a diverging run overflows on its way to the non-finite rate or energy that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sample(state, 0)
         for k in range(sched.steps if sched else 1):
             if k:
                 thermo = Thermo(thermo.temp, thermo.time_const * sched.beta, thermo.floor)
@@ -735,11 +738,11 @@ def _step_by_step(flow, instance, graph, config):
                 state = advance(state, xdot, ydot, config.step, config.eps_clip)
                 steps += 1
                 if stride > 0 and steps % stride == 0:
-                    sample(state)
+                    sample(state, iterations + steps)
             iterations += steps
             round_ends.append(state.x)
-    if not samples or samples[-1][0] != state.t:
-        sample(state)
+        if not samples or samples[-1][0] != state.t:
+            sample(state, iterations)
     return state, iterations, samples, round_ends, thermo
 
 
@@ -761,6 +764,10 @@ def _assert_same_as_step_by_step(flow, instance, graph, config):
     sampled = {id(x): k for k, (_, x, _, _) in enumerate(samples)}
     for end, end_ref in zip(result.round_ends, round_ends):
         assert id(end_ref) not in sampled or end is result.trajectory[sampled[id(end_ref)]][1]
+    # the one rule: a stored state is the last one's arrays while its bytes are equal
+    for (_, x0, y0, _), (_, x1, y1, _) in zip(result.trajectory, result.trajectory[1:]):
+        if (x0.tobytes(), _bytes(y0)) == (x1.tobytes(), _bytes(y1)):
+            assert x1 is x0 and y1 is y0
     # stored states are read-only, so a write cannot reach the samples sharing one
     stored = [v for _, x, y, _ in result.trajectory for v in (x, y) if v is not None]
     assert not any(v.flags.writeable for v in stored + list(result.round_ends))
@@ -802,18 +809,24 @@ def test_hnn_anneal_frozen_after_step_1_is_caught_by_step_2(rate_calls):
     assert rate_calls[0] == 2 + 9 * 1
 
 
-def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls):
+@pytest.mark.parametrize("stride", [10, 0])
+def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls, stride):
     # so cold that every coordinate runs into the clip
     inst = random_instance(20, 5, p_ref=1500.0)
-    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10)
+    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=stride)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
-    assert len(result.trajectory) == 1 + result.iterations // 10
     assert rate_calls[0] < result.iterations  # it froze, and was fast-forwarded
-    # the start and the corner: one array each, shared by every sample of it
-    assert len({id(x) for _, x, _, _ in result.trajectory}) == 2
-    assert len({x.tobytes() for _, x, _, _ in result.trajectory}) == 2
-    # 10 divides a round's 100 steps: every round end is a sample's array
-    assert all(end is result.trajectory[-1][1] for end in result.round_ends)
+    # every round ends at the corner: one array, the last sample's if sampled
+    assert len(result.round_ends) == 10
+    assert all(end is result.round_ends[0] for end in result.round_ends)
+    if stride:
+        assert len(result.trajectory) == 1 + result.iterations // 10
+        # the start and the corner: one array each, shared by every sample of it
+        assert len({id(x) for _, x, _, _ in result.trajectory}) == 2
+        assert len({x.tobytes() for _, x, _, _ in result.trajectory}) == 2
+        assert result.round_ends[0] is result.trajectory[-1][1]
+    else:
+        assert result.trajectory == []
 
 
 def test_fast_forward_needs_y_frozen_too():
@@ -838,7 +851,8 @@ def test_binnn_d_anneal_on_edge_lists_equals_step_by_step():
 
 
 def test_diverging_binnn_d_fails_as_step_by_step():
-    # as in test_numeric_failure_counts_the_steps_before_it, sampled
+    # as in test_numeric_failure_counts_the_steps_before_it, sampled: a sampled
+    # energy overflows in the third round, before the flow rate does in the sixth
     inst, graph = small_instance(6, seed=20), named_topology("ring", 6)
     cfg = SolverConfig(thermo=THERMO, step=0.05, alpha=30.0, seed=6, sample_stride=3,
                        anneal=AnnealSchedule(beta=1.4, t_d=2.0, steps=10))
@@ -847,11 +861,24 @@ def test_diverging_binnn_d_fails_as_step_by_step():
     with pytest.raises(NumericFailureError) as want:
         _step_by_step("binnn-d", inst, graph, cfg)
     got, want = got.value, want.value
-    assert got.iterations == want.iterations > 5 * 40
+    assert str(got) == str(want) == "non-finite energy"
+    assert got.iterations == want.iterations > 2 * 40
     assert (got.state.t, _bytes(got.state.x), _bytes(got.state.y)) == (
         want.state.t, _bytes(want.state.x), _bytes(want.state.y))
-    assert len(got.trajectory) > 60
+    assert len(got.trajectory) > 30
     _assert_same_samples(got.trajectory, want.trajectory)
+
+
+def test_a_non_finite_sampled_energy_fails_the_solve():
+    # binnn-d diverges at the campaign knobs: this anneal returned max|y| 3.7e225
+    # as a normal result, with 46 of its 142 sampled energies inf, and its end
+    # sample's overflow warning escaped the solve
+    inst, graph = random_instance(20, 35), random_connected_graph(20, seed=5)
+    cfg = replace(CampaignConfig().solver, seed=5, sample_stride=7)
+    with pytest.raises(NumericFailureError, match="^non-finite energy$") as exc:
+        anneal("binnn-d", inst, graph, cfg)
+    assert exc.value.state is not None and exc.value.iterations > 0
+    assert all(math.isfinite(e) for _, _, _, e in exc.value.trajectory)
 
 
 def test_moving_binnn_c_is_computed_step_by_step(rate_calls):
