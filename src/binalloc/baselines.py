@@ -22,8 +22,7 @@ class SetSolution:
 
     def bits(self, n):
         x = np.zeros(n, dtype=int)
-        if self.chosen:
-            x[list(self.chosen)] = 1
+        x[list(self.chosen)] = 1
         return x
 
 
@@ -31,8 +30,7 @@ def _exact(instance, chosen):
     """Freeze a chosen set with its cost recomputed under the instance evaluator."""
     chosen = tuple(sorted(int(i) for i in chosen))
     x = np.zeros(instance.n)
-    if chosen:
-        x[list(chosen)] = 1.0
+    x[list(chosen)] = 1.0
     return SetSolution(chosen=chosen, cost=eval_p1(instance, x))
 
 
@@ -41,46 +39,43 @@ def _set_cost(instance, base, total_output, incr_sum):
     return base + incr_sum + 0.5 * instance.penalty * mismatch * mismatch
 
 
-def greedy(instance):
-    """Repeatedly switch on the agent that lowers cost most; stop when none does."""
+def _switch_on(instance, next_agent):
+    """Switch agents on while the cost strictly falls. ``next_agent(total, incr, base)`` names
+    the next agent to try, or None; it gets the set's output and cost sums and the passive sum."""
     c, p = instance.incr_cost, instance.output
-    chosen = []
-    free = np.ones(instance.n, dtype=bool)
-    total, incr, base = 0.0, 0.0, float(instance.passive.sum())  # summed once, not per agent tried
+    chosen, total, incr, base = [], 0.0, 0.0, float(instance.passive.sum())  # summed once
     cost = _set_cost(instance, base, total, incr)
-    while free.any():
-        idx = np.flatnonzero(free)
-        cand = _set_cost(instance, base, total + p[idx], incr + c[idx])
-        k = int(np.argmin(cand))  # ties resolve to the lowest index
-        if cand[k] >= cost:
-            break
-        i = int(idx[k])
-        chosen.append(i)
-        free[i] = False
-        total += p[i]
-        incr += c[i]
-        cost = float(cand[k])
-    return _exact(instance, chosen)
-
-
-def round_relaxed(x_frac, instance):
-    """Round a fractional point by descending value with strict-improvement stops."""
-    x_frac = _vec(x_frac, instance.n, "x_frac")
-    order = np.argsort(-x_frac, kind="stable")  # ties resolve to the lowest index
-    c, p = instance.incr_cost, instance.output
-    chosen = []
-    total, incr, base = 0.0, 0.0, float(instance.passive.sum())  # summed once, not per agent tried
-    cost = _set_cost(instance, base, total, incr)
-    for i in order:
-        i = int(i)
-        total_new = total + p[i]
-        incr_new = incr + c[i]
+    while (i := next_agent(total, incr, base)) is not None:
+        total_new, incr_new = total + p[i], incr + c[i]
         cost_new = _set_cost(instance, base, total_new, incr_new)
         if cost_new >= cost:
             break
         chosen.append(i)
         total, incr, cost = total_new, incr_new, cost_new
     return _exact(instance, chosen)
+
+
+def greedy(instance):
+    """Repeatedly switch on the agent that lowers cost most; stop when none does."""
+    c, p = instance.incr_cost, instance.output
+    free = np.ones(instance.n, dtype=bool)
+
+    def cheapest(total, incr, base):  # every free agent priced at once; ties: the lowest index
+        idx = np.flatnonzero(free)
+        if not idx.size:
+            return None
+        i = int(idx[np.argmin(_set_cost(instance, base, total + p[idx], incr + c[idx]))])
+        free[i] = False
+        return i
+
+    return _switch_on(instance, cheapest)
+
+
+def round_relaxed(x_frac, instance):
+    """Round a fractional point by descending value with strict-improvement stops."""
+    x_frac = _vec(x_frac, instance.n, "x_frac")
+    order = iter(np.argsort(-x_frac, kind="stable").tolist())  # ties resolve to the lowest index
+    return _switch_on(instance, lambda *_: next(order, None))
 
 
 def _subset_sums(values):

@@ -51,8 +51,8 @@ class CampaignConfig:
     )
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (dynamics._count(self.n, 1) and dynamics._count(self.trials, 1)):
+            raise ValueError(f"n and trials must be integers >= 1, got {self.n} and {self.trials}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         if self.solver.anneal is None and any(m.endswith("-da") for m in self.methods):
@@ -101,21 +101,14 @@ def run_campaign(config, jobs=1):
     a seed (wall times excepted); parallel trials merge in trial order.
     """
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    args = ([config] * config.trials, range(config.trials), trial_seeds)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _run_trial,
-                [config] * config.trials,
-                range(config.trials),
-                trial_seeds,
-            )
-            chunks = list(chunks)
+            chunks = list(pool.map(_run_trial, *args))
     else:
-        chunks = [
-            _run_trial(config, trial, tss) for trial, tss in enumerate(trial_seeds)
-        ]
+        chunks = list(map(_run_trial, *args))
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -10,6 +10,7 @@ All are integrated with fixed-step explicit Euler.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +25,14 @@ FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
 _FREEZE_CHECK = 16  # steps between tests for a state that no longer moves, after steps 1, 2, 4, 8
 _SUM_Y_RTOL = 1e-8  # bound on |sum(y)| at a binnn-d round end, relative to max(1, sum|y|)
+
+
+def _count(value, least):
+    """Whether ``value`` is an integer (``operator.index``: not 2.5, nor 2.0) >= ``least``."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if not 1.0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and > 1, got {self.beta}")
-        if not 0 < self.t_d < math.inf or self.steps < 1:
-            raise ValueError("t_d must be finite and > 0, and steps >= 1")
+        if not 0 < self.t_d < math.inf or not _count(self.steps, 1):
+            raise ValueError("t_d must be finite and > 0, and steps an integer >= 1")
         if self.knob not in ("tau-up", "T-down"):
             raise ValueError(f"unknown knob {self.knob!r}")
 
@@ -81,8 +90,8 @@ class SolverConfig:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.step, self.alpha, self.tol_x, self.tol_y)):
             raise ValueError("step, alpha and the tolerances must be finite and > 0")
-        if not 0 <= self.t_max < math.inf or self.sample_stride < 0:
-            raise ValueError("t_max must be finite and >= 0, and sample_stride >= 0")
+        if not 0 <= self.t_max < math.inf or not _count(self.sample_stride, 0):
+            raise ValueError("t_max must be finite and >= 0, and sample_stride an integer >= 0")
         if not (0 < self.eps_init < 0.5 and 0 <= self.eps_clip < 0.5):
             raise ValueError("eps_init must be in (0, 0.5) and eps_clip in [0, 0.5)")
 

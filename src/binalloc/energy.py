@@ -43,13 +43,8 @@ class Thermo:
 def barrier_integral(z, temp):
     """Integral of the inverse activation from 0 to z; zero at both endpoints."""
     z = np.asarray(z, dtype=float)
-    lo, hi = z.min(initial=0.5), z.max(initial=0.5)
-    # a NaN fails the quick test but no comparison, so only the full test decides
-    if not (lo >= 0.0 and hi <= 1.0) and (np.any(z < 0.0) or np.any(z > 1.0)):
+    if not np.all((z >= 0.0) & (z <= 1.0)):  # a NaN fails too
         raise DomainError("barrier_integral requires z in [0,1]")
-    if lo > _ENDPOINT_GUARD and hi < 1.0 - _ENDPOINT_GUARD:  # all interior: the same values
-        vals = temp * (np.log1p(-z) - z * np.log(1.0 / z - 1.0))
-        return vals if vals.ndim else float(vals)
     interior = (z > _ENDPOINT_GUARD) & (z < 1.0 - _ENDPOINT_GUARD)
     zi = np.where(interior, z, 0.5)  # placeholder keeps logs finite
     vals = temp * (np.log1p(-zi) - zi * np.log(1.0 / zi - 1.0))
@@ -61,7 +56,7 @@ def _interior(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ShapeError(f"x has shape {x.shape}, expected ({n},)")
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+    if not np.all((x > 0.0) & (x < 1.0)):  # a NaN fails too
         raise DomainError("derivatives require x strictly inside (0,1)^n")
     return x
 
@@ -191,7 +186,6 @@ def distributed_ctx(instance):
 
 def energy(instance, thermo, x):
     """Problem cost plus barrier: the Lyapunov function of the centralized flows."""
-    x = np.asarray(x, dtype=float)
     barrier = np.sum(barrier_integral(x, thermo.temp)) / thermo.time_const
     return eval_p1(instance, x) + barrier
 
@@ -217,7 +211,6 @@ def eval_p2(instance, graph, x, y, ctx=None):
 
 def energy_tilde(instance, graph, thermo, x, y, ctx=None):
     """P2 plus barrier: the Lyapunov function of the distributed flow."""
-    x = np.asarray(x, dtype=float)
     barrier = np.sum(barrier_integral(x, thermo.temp)) / thermo.time_const
     return eval_p2(instance, graph, x, y, ctx) + barrier
 

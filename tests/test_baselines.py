@@ -34,6 +34,14 @@ def test_greedy_empty_when_everything_costs():
     assert sol.cost == 0.0
 
 
+def test_an_empty_set_has_every_bit_off():
+    # greedy and rounding both stop before the first agent when it raises the cost
+    assert baselines.SetSolution(chosen=(), cost=0.0).bits(3).tolist() == [0, 0, 0]
+    sol = round_relaxed([0.9, 0.1], Instance(quad=[-2.0, -2.0], center=[1.0, 1.5], passive=[0.5, 0.5],
+                                             output=[1.0, 1.0], penalty=1.0, target=0.0))
+    assert sol.chosen == () and sol.cost == 1.0
+
+
 def test_greedy_never_beats_brute():
     for seed in range(10):
         inst = random_instance(8, seed, p_ref=120.0)

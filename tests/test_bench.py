@@ -178,6 +178,14 @@ def test_campaign_config_validation():
         CampaignConfig(methods=())
 
 
+@pytest.mark.parametrize("name", ["n", "trials"])
+@pytest.mark.parametrize("value", [2.5, 2.0, 0])
+def test_campaign_config_refuses_a_count_that_is_not_a_positive_integer(name, value):
+    # a fractional trial count would die in SeedSequence.spawn, not as a BinallocError
+    with pytest.raises(ValueError, match="n and trials must be integers"):
+        CampaignConfig(**{name: value})
+
+
 def test_annealed_methods_need_a_schedule():
     # dynamics.anneal refuses a config without one, and so does the campaign
     unscheduled = replace(FAST_SOLVER, anneal=None)

@@ -471,6 +471,22 @@ def test_configs_refuse_settings_that_cannot_run(make, kwargs):
         make(**kwargs)
 
 
+@pytest.mark.parametrize("make, name", [(AnnealSchedule, "steps"), (SolverConfig, "sample_stride")])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_configs_refuse_a_count_that_is_not_an_integer(make, name, value):
+    # a fractional count would die in range() or sample every 2 * stride steps
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+    assert getattr(make(**{name: np.int64(2)}), name) == 2
+
+
+def test_a_fractional_sample_stride_is_refused_before_it_runs(two_agent):
+    with pytest.raises(ValueError, match="sample_stride"):
+        run("hnn", two_agent, config=SolverConfig(t_max=0.2, sample_stride=2.5))
+    samples = run("hnn", two_agent, config=SolverConfig(t_max=0.2, sample_stride=2, seed=0)).trajectory
+    assert len(samples) == 11
+
+
 def test_short_run_descends_and_stays_interior():
     inst = small_instance(6, seed=17)
     cfg = SolverConfig(thermo=THERMO, step=1e-3, t_max=0.5, seed=2,

@@ -52,6 +52,21 @@ def test_barrier_domain():
         barrier_integral(1.5, 1.0)
 
 
+@pytest.mark.parametrize("z", [np.nan, [0.3, np.nan]], ids=["scalar", "array"])
+def test_barrier_refuses_nan(z):
+    # NaN fails every comparison, so the domain test asks that all entries pass
+    with pytest.raises(DomainError):
+        barrier_integral(z, 1.0)
+
+
+@pytest.mark.parametrize("x", [[np.nan], [0.5, np.nan, 0.5]], ids=["one-agent", "three-agent"])
+@pytest.mark.parametrize("derivative", [grad, hessian])
+def test_derivatives_refuse_nan(derivative, x):
+    inst = random_instance(len(x), 0)
+    with pytest.raises(DomainError):
+        derivative(inst, Thermo(), np.array(x))
+
+
 def test_barrier_matches_quadrature():
     # numerical integral of the inverse activation over [0.1, z], away from
     # the endpoint singularities where trapezoid rule converges poorly
