@@ -19,7 +19,7 @@ import numpy as np
 from . import energy as en
 from .errors import ConnectivityError, NumericFailureError, ShapeError
 from .graphs import is_connected
-from .instances import eval_p1, round_to_binary
+from .instances import eval_p1, residual_weight, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
@@ -112,6 +112,9 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """``min_hessian_eig``: the smallest eigenvalue of the centralized energy's Hessian in x
+    (binnn-c, hnn) or of the distributed energy's with y eliminated (binnn-d)."""
+
     grad_inf: float
     grad_y_inf: float | None
     min_hessian_eig: float
@@ -319,25 +322,24 @@ def anneal(flow, instance, graph=None, config=None):
 def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x):
     """Gradient norm and Hessian spectrum at the terminal point, at the run's final knobs.
 
-    The gradients come from the rates kernel ("hnn" for a centralized
-    result). Certifies a local minimum when the run converged with a small
-    gradient and a positive-definite Hessian of the relevant energy.
+    The gradients come from the rates kernel ("hnn" for a centralized result).
+    Both Hessians are diag(quad + curvature) + s output output^T: the centralized
+    energy's in x has s = penalty; binnn-d's with y eliminated (L is invertible on
+    sum(y) = 0) has s = residual_weight / n, and by Haynsworth's inertia additivity
+    it is positive definite exactly when the joint Hessian is there. Certifies a
+    local minimum when the run converged with a small gradient and that Hessian
+    positive definite.
     """
     thermo = result.thermo_final
     x, y = en._interior(result.x_final, instance.n), result.y_final
-    curvature = thermo.temp / thermo.time_const / (x - x**2)
-    ctx = (en.centralized_ctx if y is None else en.distributed_ctx)(instance)
-    if y is None:
-        _, _, g = flow_rates("hnn", instance, None, thermo, 1.0, ctx)(x, None)
-        min_eig = ctx.min_hessian_eig(curvature)
-        grad_y_inf = None
-    else:
+    if y is not None:
         _check_graph(instance, graph)
-        # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
-        _, ydot, g = flow_rates("binnn-d", instance, graph, thermo, 1.0, ctx)(x, y)
-        grad_y_inf = float(np.max(np.abs(ydot)))
-        min_eig = float(ctx.hessian_diag(curvature).min())
+    # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
+    _, ydot, g = flow_rates("hnn" if y is None else "binnn-d", instance, graph, thermo, 1.0)(x, y)
+    scale = instance.penalty if y is None else residual_weight(instance) / instance.n
+    curvature = thermo.temp / thermo.time_const / (x - x**2)
+    min_eig = en.min_eig_rank_one(instance.quad + curvature, np.sqrt(scale) * instance.output)
     grad_inf = float(np.max(np.abs(g)))
     certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
-    return Diagnostics(grad_inf=grad_inf, grad_y_inf=grad_y_inf, min_hessian_eig=min_eig,
-                       local_min_certified=certified)
+    return Diagnostics(grad_inf=grad_inf, grad_y_inf=None if y is None else float(np.max(np.abs(ydot))),
+                       min_hessian_eig=min_eig, local_min_certified=certified)

@@ -103,9 +103,6 @@ class CentralizedEnergyCtx:
         np.maximum(eigvals, floor, out=eigvals)
         return eigvecs @ ((eigvecs.T @ v) / eigvals)
 
-    def min_hessian_eig(self, barrier_curvature):
-        return min_eig_rank_one(self.quad + barrier_curvature, self.weight)
-
 
 def centralized_ctx(instance):
     p, penalty_p = instance.output, instance.penalty * instance.output

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from binalloc import Instance, build_graph
+from binalloc import Instance, Thermo, build_graph
+from binalloc.graphs import named_topology
 
 
 @pytest.fixture
@@ -48,6 +49,26 @@ def symmetric_instance():
         return Instance(
             quad=a, center=b, passive=d, output=p, penalty=1.0, target=n / 2
         )
+
+    return make
+
+
+@pytest.fixture
+def saddle():
+    """Factory for an exact saddle of every flow's energy at the cube centre, and its ring.
+
+    n=10, quad = -4T/tau - mu at the default knobs, centre 1/2, p = 1, penalty 1,
+    target 5. At x = 1/2 the barrier's curvature 4T/tau cancels all of quad but -mu,
+    so the centralized Hessian has eigenvalues -mu (n - 1 times) and n - mu, while
+    binnn-d's x-block alone, -mu + 1, is positive for mu < 1.
+    """
+
+    def make(mu):
+        n, knobs = 10, Thermo()
+        inst = Instance(quad=np.full(n, -4.0 * knobs.temp / knobs.time_const - mu),
+                        center=np.full(n, 0.5), passive=np.zeros(n), output=np.ones(n),
+                        penalty=1.0, target=n / 2)
+        return inst, named_topology("ring", n)
 
     return make
 

@@ -39,6 +39,21 @@ def agent_rates(state, instance, graph, thermo, alpha, agent):
     return float(xdot_i), float(ydot_i)
 
 
+def joint_hessian(instance, graph, thermo, x):
+    """Dense blocks (A, B, C) of the Hessian [[A, B], [B^T, C]] of P2 plus barrier in (x, y),
+    assembled from the definition: A = diag(quad + w p^2 + curvature), B = w diag(p) L,
+    C = w L^2. It does not depend on y."""
+    w, p, lap = residual_weight(instance), instance.output, graph.laplacian
+    curvature = thermo.temp / thermo.time_const / (x - x**2)
+    return np.diag(instance.quad + w * p**2 + curvature), w * p[:, None] * lap, w * lap @ lap
+
+
+def schur_spectrum(instance, graph, thermo, x):
+    """Eigenvalues of the joint Hessian's Schur complement A - B C^+ B^T: y eliminated."""
+    a, b, c = joint_hessian(instance, graph, thermo, x)
+    return np.linalg.eigvalsh(a - b @ np.linalg.pinv(c) @ b.T)
+
+
 def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing the
     integrator's step directly (``run`` skips the steps of a frozen state)."""

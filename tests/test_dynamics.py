@@ -28,7 +28,7 @@ from binalloc.energy import (
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
 from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance, residual_weight
-from oracles import agent_rates
+from oracles import agent_rates, joint_hessian, schur_spectrum
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
 
@@ -548,7 +548,51 @@ def test_terminal_diagnostics_distributed_match_independent_assembly():
         diag = terminal_diagnostics(result, inst, graph=graph)
         assert diag.grad_inf == float(np.max(np.abs(gx)))
         assert diag.grad_y_inf == float(np.max(np.abs(gy)))
-        assert diag.min_hessian_eig == float(ctx.hessian_diag(ratio / (x - x * x)).min())
+        schur = schur_spectrum(inst, graph, thermo, x)
+        assert abs(diag.min_hessian_eig - schur.min()) <= 1e-12 * np.abs(schur).max()
+
+
+def test_distributed_certificate_is_the_joint_hessian_with_y_eliminated():
+    # random interior states: the certificate is the Schur complement's smallest
+    # eigenvalue, and has the sign of the joint Hessian's on x + {sum(y) = 0}; the
+    # two values differ, so only the signs are compared
+    rng = np.random.default_rng(26)
+    signs = []
+    for k in range(20):
+        n = int(rng.integers(2, 21))
+        inst = random_instance(n, k, p_ref=30.0 * n, gamma=float(rng.uniform(0.5, 2.0)))
+        graph = random_connected_graph(n, 0.3, k)
+        cfg = SolverConfig(thermo=THERMO, t_max=0.0, seed=k, sample_stride=0)
+        result = run("binnn-d", inst, graph=graph, config=cfg)
+        # every other state near the corners, where the barrier's curvature dominates
+        x = rng.uniform(0.02, 0.98, n) if k % 2 else rng.uniform(1e-6, 1e-4, n)
+        x, y = np.where(rng.random(n) < 0.5, x, 1.0 - x), rng.normal(size=n)
+        got = terminal_diagnostics(replace(result, x_final=x, y_final=y - y.mean()), inst,
+                                   graph=graph).min_hessian_eig
+        schur = schur_spectrum(inst, graph, result.thermo_final, x)
+        assert abs(got - schur.min()) <= 1e-12 * np.abs(schur).max()
+        a, b, c = joint_hessian(inst, graph, result.thermo_final, x)
+        basis = np.linalg.svd(np.ones((1, n)))[2][1:].T  # orthonormal, spans sum(y) = 0
+        joint = np.block([[a, b @ basis], [basis.T @ b.T, basis.T @ c @ basis]])
+        signs.append(np.sign(np.linalg.eigvalsh(joint).min()))
+        assert signs[-1] == np.sign(got)
+    assert set(signs) == {-1.0, 1.0}
+
+
+def test_no_flow_certifies_the_saddle(saddle):
+    # every flow stops at the saddle within a few steps; binnn-d's x-block alone,
+    # 1 - mu, is positive there, but the certificate sees y follow x
+    for flow in dynamics.FLOW_KINDS:
+        for mu in (0.3, 0.5, 0.9):
+            inst, ring = saddle(mu)
+            graph = ring if flow == "binnn-d" else None
+            for seed in range(10):
+                cfg = SolverConfig(step=0.01, eps_init=1e-6, t_max=50.0, seed=seed)
+                result = run(flow, inst, graph=graph, config=cfg)
+                diag = terminal_diagnostics(result, inst, graph=graph, tol_x=cfg.tol_x)
+                assert result.converged and diag.grad_inf < 10.0 * cfg.tol_x
+                assert diag.min_hessian_eig == pytest.approx(-mu, abs=0.1)
+                assert not diag.local_min_certified
 
 
 def test_terminal_diagnostics_distributed_needs_a_graph():

@@ -529,7 +529,7 @@ def test_min_hessian_eig_matches_eigvalsh(bench_small, symmetric_instance):
         eigs = _spectrum(inst, thermo, x)
         scale = np.abs(eigs).max()
         curvature = thermo.temp / thermo.time_const / (x - x**2)
-        got = centralized_ctx(inst).min_hessian_eig(curvature)
+        got = min_eig_rank_one(inst.quad + curvature, centralized_ctx(inst).weight)
         assert abs(got - eigs.min()) <= 1e-12 * scale
 
 
