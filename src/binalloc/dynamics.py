@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import energy as en
-from .errors import ConnectivityError, NumericFailureError, ShapeError
-from .graphs import is_connected
+from .errors import NumericFailureError, ShapeError
 from .instances import eval_p1, residual_weight, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
@@ -147,6 +146,8 @@ def flow_rates(flow, instance, graph, thermo, alpha, ctx=None):
     the decision velocity descends. ``ctx``, the instance's ``distributed_ctx``
     or ``centralized_ctx``, is built when not given.
     """
+    if flow not in FLOW_KINDS:
+        raise ValueError(f"unknown flow kind {flow!r}")
     if flow == "binnn-d":
         return (ctx or en.distributed_ctx(instance)).rates(graph, thermo, alpha)
     ratio = thermo.temp / thermo.time_const
@@ -188,13 +189,9 @@ def _check_graph(instance, graph):
         raise ValueError("the distributed flow requires a graph")
     if graph.n != instance.n:
         raise ShapeError("graph and instance sizes differ")
-    if not is_connected(graph):
-        raise ConnectivityError("the distributed flow requires a connected graph")
 
 
 def _prepare(flow, instance, graph, config):
-    if flow not in FLOW_KINDS:
-        raise ValueError(f"unknown flow kind {flow!r}")
     if flow == "binnn-d":
         _check_graph(instance, graph)
     seed = config.seed
@@ -327,8 +324,8 @@ def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x)
     energy's in x has s = penalty; binnn-d's with y eliminated (L is invertible on
     sum(y) = 0) has s = residual_weight / n, and by Haynsworth's inertia additivity
     it is positive definite exactly when the joint Hessian is there. Certifies a
-    local minimum when the run converged with a small gradient and that Hessian
-    positive definite.
+    local minimum when the run converged with small gradients, in x and in y, and
+    that Hessian positive definite.
     """
     thermo = result.thermo_final
     x, y = en._interior(result.x_final, instance.n), result.y_final
@@ -340,6 +337,7 @@ def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x)
     curvature = thermo.temp / thermo.time_const / (x - x**2)
     min_eig = en.min_eig_rank_one(instance.quad + curvature, np.sqrt(scale) * instance.output)
     grad_inf = float(np.max(np.abs(g)))
-    certified = bool(result.converged and grad_inf < 10.0 * tol_x and min_eig > 0.0)
-    return Diagnostics(grad_inf=grad_inf, grad_y_inf=None if y is None else float(np.max(np.abs(ydot))),
-                       min_hessian_eig=min_eig, local_min_certified=certified)
+    grad_y_inf = None if y is None else float(np.max(np.abs(ydot)))
+    small = grad_inf < 10.0 * tol_x and (y is None or grad_y_inf < 10.0 * tol_x)
+    return Diagnostics(grad_inf=grad_inf, grad_y_inf=grad_y_inf, min_hessian_eig=min_eig,
+                       local_min_certified=bool(result.converged and small and min_eig > 0.0))

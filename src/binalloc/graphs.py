@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConnectivityError, InvalidGraphError, ShapeError
 
-# Eigenvalues of the Laplacian below this are treated as the zero mode.
-_NULL_EIG_TOL = 1e-10
 _EXTRA_EDGE_FRACTION = 0.2  # share of the non-tree pairs a random graph adds, by default
 # Fill of the n*n Laplacian up to which L @ v uses edge lists; an arc costs ~24 BLAS entries.
 _SPARSE_FILL = 1.0 / 32.0
@@ -18,10 +16,11 @@ _SPARSE_FILL = 1.0 / 32.0
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph with unit edge weights.
+    """Immutable connected undirected graph with unit edge weights.
 
     ``edges`` is a sorted tuple of (i, j) pairs with i < j. ``neighbors[i]``
     is the sorted tuple of nodes adjacent to i, for per-agent computation.
+    Graphs compare by (n, edges, neighbors); a disconnected one is refused.
     """
 
     n: int
@@ -29,7 +28,11 @@ class Graph:
     neighbors: tuple
     # (rows, cols, degree) of the directed edges, if sparse; on a regular graph rows
     # is None and cols[k] holds each node's k-th neighbour in the order of ``edges``
-    arcs: tuple | None = None
+    arcs: tuple | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not is_connected(self):
+            raise ConnectivityError(f"the graph on {self.n} nodes is disconnected")
 
     @cached_property
     def laplacian(self):
@@ -85,44 +88,29 @@ def build_graph(n, edges):
 
 
 def is_connected(graph):
-    """Breadth-first reachability from node 0."""
-    if graph.n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in graph.neighbors[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return len(seen) == graph.n
-
-
-def pseudo_inverse(graph):
-    """Moore-Penrose pseudoinverse of the Laplacian via eigendecomposition.
-
-    Used only by oracles and tests; the distributed flow itself needs only
-    Laplacian products.
-    """
-    if not is_connected(graph):
-        raise ConnectivityError("pseudo_inverse requires a connected graph")
-    w, q = np.linalg.eigh(graph.laplacian)
-    inv = np.where(np.abs(w) > _NULL_EIG_TOL, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (q * inv) @ q.T
+    """Breadth-first reachability from node 0 (a graph with no nodes is connected)."""
+    order = [0][:graph.n]
+    seen = set(order)
+    for i in order:  # the list grows while it is read
+        for j in graph.neighbors[i]:
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return len(order) == graph.n
 
 
 def y_star(graph, output, x):
-    """Closed-form minimizer of the distributed penalty over the flow's set sum(y) = 0."""
-    if not is_connected(graph):
-        raise ConnectivityError("y_star requires a connected graph")
+    """Closed-form minimizer of the distributed penalty over the flow's set sum(y) = 0.
+
+    That is -L^+ b for b = output * x. The graph is connected, so L + 11^T/n is
+    invertible with inverse L^+ + 11^T/n, which maps b - mean(b) to L^+ b.
+    """
     output = np.asarray(output, dtype=float)
     x = np.asarray(x, dtype=float)
     if output.shape != (graph.n,) or x.shape != (graph.n,):
         raise ShapeError("output and x must have length n")
-    return -pseudo_inverse(graph) @ (output * x)
+    b = output * x
+    return -np.linalg.solve(graph.laplacian + 1.0 / graph.n, b - b.mean())
 
 
 def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=None):

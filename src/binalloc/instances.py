@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityError, InvalidCoefficientError, ShapeError
-from .graphs import build_graph, is_connected
+from .errors import InvalidCoefficientError, ShapeError
+from .graphs import build_graph
 
 # random_instance's target output and penalty; the campaign and from_json_dict read them
 DEFAULT_P_REF = 1500.0
@@ -204,13 +204,8 @@ def from_json_dict(doc):
     else:
         raise ShapeError("instance JSON needs either 'a'+'b' or 'c'")
     inst = Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
-    edges = doc.get("edges")
-    if edges is not None:
-        graph = build_graph(n, [tuple(e) for e in edges])  # validates endpoints
-        if not is_connected(graph):
-            raise ConnectivityError("instance edge list describes a disconnected graph")
-        edges = graph.edges
-    return inst, edges
+    edges = doc.get("edges")  # build_graph validates the endpoints and the connectivity
+    return inst, None if edges is None else build_graph(n, [tuple(e) for e in edges]).edges
 
 
 def load_instance(path):

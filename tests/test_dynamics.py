@@ -403,6 +403,11 @@ def test_run_rejects_bad_flow_and_missing_graph(two_agent):
         run("binnn-d", two_agent, graph=build_graph(2, []))
 
 
+def test_flow_rates_rejects_an_unknown_flow(two_agent):
+    with pytest.raises(ValueError, match="unknown flow kind 'sgd'"):
+        flow_rates("sgd", two_agent, None, THERMO, 1.0)
+
+
 def test_anneal_reproduces_two_agent_optimum(two_agent, pair_graph):
     cfg = SolverConfig(
         thermo=THERMO,
@@ -595,6 +600,16 @@ def test_no_flow_certifies_the_saddle(saddle):
                 assert not diag.local_min_certified
 
 
+@pytest.mark.parametrize("alpha, certified", [(1e-9, False), (1.0, True)])
+def test_a_distributed_certificate_needs_a_small_y_gradient(two_agent, pair_graph, alpha, certified):
+    # a slow y converges, alpha * |grad_y| < tol_y, with its gradient still large
+    cfg = SolverConfig(alpha=alpha, t_max=200.0, seed=0, sample_stride=0)
+    result = run("binnn-d", two_agent, graph=pair_graph, config=cfg)
+    diag = terminal_diagnostics(result, two_agent, graph=pair_graph, tol_x=cfg.tol_x)
+    assert result.converged and diag.grad_inf < 10.0 * cfg.tol_x and diag.min_hessian_eig > 0.0
+    assert (diag.grad_y_inf < 10.0 * cfg.tol_x) == certified == diag.local_min_certified
+
+
 def test_terminal_diagnostics_distributed_needs_a_graph():
     inst = small_instance(5, seed=19)
     cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)
@@ -603,9 +618,9 @@ def test_terminal_diagnostics_distributed_needs_a_graph():
         terminal_diagnostics(result, inst)
 
 
+# a disconnected graph cannot be built: the Graph refuses it
 @pytest.mark.parametrize("graph, error", [
     (named_topology("path", 3), ShapeError),
-    (build_graph(2, []), ConnectivityError),
 ])
 def test_a_distributed_solve_and_its_diagnostics_check_the_graph(two_agent, pair_graph, graph, error):
     cfg = SolverConfig(thermo=THERMO, step=0.02, t_max=0.5, seed=5, sample_stride=0)

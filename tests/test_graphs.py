@@ -4,10 +4,10 @@ import pytest
 from binalloc import graphs
 from binalloc.errors import ConnectivityError, InvalidGraphError, ShapeError
 from binalloc.graphs import (
+    Graph,
     build_graph,
     is_connected,
     named_topology,
-    pseudo_inverse,
     random_connected_graph,
     y_star,
 )
@@ -23,7 +23,9 @@ def test_laplacian_complete2():
 
 
 def test_laplacian_empty():
-    assert np.array_equal(build_graph(3, []).laplacian, np.zeros((3, 3)))
+    assert np.array_equal(build_graph(1, []).laplacian, np.zeros((1, 1)))
+    with pytest.raises(ConnectivityError):
+        build_graph(3, [])
 
 
 def test_laplacian_rejects_self_loop_and_range():
@@ -41,8 +43,18 @@ def test_laplacian_zero_row_sums_exact():
 
 def test_is_connected_examples():
     assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
-    assert not is_connected(build_graph(2, []))
     assert is_connected(named_topology("complete", 5))
+    with pytest.raises(ConnectivityError):  # a Graph is connected, however it is built
+        build_graph(2, [])
+    with pytest.raises(ConnectivityError):
+        Graph(n=3, edges=((0, 1),), neighbors=((1,), (0,), ()))
+
+
+def test_graphs_compare_and_hash_by_their_edges():
+    a, b = named_topology("ring", 2000), named_topology("ring", 2000)
+    assert a.arcs is not None and a == b and hash(a) == hash(b)
+    assert a != named_topology("path", 2000)
+    assert len({a, b, named_topology("ring", 20), named_topology("ring", 20)}) == 2
 
 
 def test_graph_guards():
@@ -63,32 +75,26 @@ def test_fiedler_positive_for_connected():
     assert w[1] > 1e-10
 
 
-def test_pseudo_inverse_complete2():
-    g = build_graph(2, [(0, 1)])
-    assert np.allclose(pseudo_inverse(g), 0.25 * np.array([[1, -1], [-1, 1]]),
-                       atol=1e-14)
-
-
-def test_pseudo_inverse_defining_property():
-    for seed in range(5):
-        n = 6 + seed
-        g = random_connected_graph(n, 0.3, seed=seed)
-        pinv = pseudo_inverse(g)
-        proj = np.eye(n) - np.ones((n, n)) / n
-        assert np.max(np.abs(g.laplacian @ pinv - proj)) <= 1e-10
-        assert np.max(np.abs(pinv @ np.ones(n))) <= 1e-10
-
-
-def test_pseudo_inverse_requires_connected():
-    with pytest.raises(ConnectivityError):
-        pseudo_inverse(build_graph(2, []))
-
-
 def test_y_star_examples():
     g = build_graph(2, [(0, 1)])
     assert np.allclose(y_star(g, [3.0, 1.0], [1.0, 0.0]), [-0.75, 0.75],
                        atol=1e-14)
     assert np.allclose(y_star(g, [3.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 100, 400])
+@pytest.mark.parametrize("kind", ["random", "tree", "path"])
+def test_y_star_matches_the_pseudo_inverse(kind, n):
+    if kind == "path":
+        graph = named_topology("path", n)
+    else:
+        graph = random_connected_graph(n, 0.2 if kind == "random" else 0.0, seed=n)
+    rng = np.random.default_rng(n)
+    output, x = rng.uniform(1.0, 50.0, n), rng.uniform(0.0, 1.0, n)
+    ys = y_star(graph, output, x)
+    want = -np.linalg.pinv(graph.laplacian, hermitian=True) @ (output * x)
+    assert np.max(np.abs(ys - want)) <= 1e-9 * np.max(np.abs(want))
+    assert abs(ys.sum()) <= 1e-12 * np.abs(ys).sum()
 
 
 def test_y_star_equilibrium_and_residual_direction():
@@ -188,7 +194,7 @@ def _arc_sum_laplacian(graph, v):
 ])
 def test_apply_laplacian_keeps_the_bits_of_the_arc_sum(name, edges, regular, monkeypatch):
     monkeypatch.setattr(graphs, "_SPARSE_FILL", 1.0)
-    n = 1 + max((max(e) for e in edges), default=4)
+    n = 1 + max((max(e) for e in edges), default=0)  # edgeless: one node, zero arcs
     g = build_graph(n, edges)
     assert g.arcs is not None and (g.arcs[0] is None) == regular
     rng = np.random.default_rng(n)
