@@ -12,7 +12,7 @@ from .dynamics import (
     terminal_diagnostics,
 )
 from .energy import Thermo, eval_p2, pt_inverse, pt_inverse_scalar
-from .graphs import Graph, build_graph, random_connected_graph, y_star
+from .graphs import Graph, random_connected_graph, y_star
 from .instances import (
     Instance,
     eval_p1,
@@ -34,7 +34,6 @@ __all__ = [
     "Thermo",
     "anneal",
     "brute_force",
-    "build_graph",
     "eval_p1",
     "eval_p2",
     "fit_coefficients",

@@ -11,7 +11,7 @@ import numpy as np
 from . import baselines, bench, dynamics
 from .energy import Thermo
 from .errors import BinallocError
-from .graphs import build_graph, named_topology
+from .graphs import named_topology
 from .instances import load_instance, random_instance, save_instance
 
 CAMPAIGN_METHODS = tuple(bench.NN_METHODS) + tuple(baselines.SOLVERS)
@@ -66,12 +66,10 @@ def _cmd_gen(args):
     instance = random_instance(
         args.n, args.seed, **_given(args, "p_range", "exponent_range", "p_ref", "gamma")
     )
-    edges = None
+    graph = None
     if args.topology:
-        edges = named_topology(
-            args.topology, args.n, seed=args.seed, **_given(args, "extra_edge_fraction")
-        ).edges
-    save_instance(instance, args.out, edges=edges)
+        graph = named_topology(args.topology, args.n, seed=args.seed, **_given(args, "extra_edge_fraction"))
+    save_instance(instance, args.out, graph)
     norm = float(np.linalg.norm(instance.output))
     print(f"wrote {args.out}: n={instance.n} |p|={norm:.6g} p_ref={instance.target:.6g}")
     return 0
@@ -81,20 +79,15 @@ def _builds_graph(method):
     return method.startswith("binnn-d")
 
 
-def _graph_for(args, n, edges):
-    if edges is not None:
-        return build_graph(n, edges)
-    return named_topology(args.topology or "random", n, seed=getattr(args, "graph_seed", 0),
-                          **_given(args, "extra_edge_fraction"))
-
-
 def _cmd_solve(args):
-    instance, edges = load_instance(args.instance)
-    if edges is not None and (args.topology or _given(args, *_RANDOM_GRAPH_FLAGS)):
+    instance, graph = load_instance(args.instance)
+    if graph is not None and (args.topology or _given(args, *_RANDOM_GRAPH_FLAGS)):
         raise ValueError(f"{args.instance} lists its edges: --topology, --extra-edges and "
                          "--graph-seed have no graph to set")
     method, cfg = args.method, _solver_config(args)
-    graph = _graph_for(args, instance.n, edges) if _builds_graph(method) else None
+    if graph is None and _builds_graph(method):  # a listed graph is used as loaded
+        graph = named_topology(args.topology or "random", instance.n, seed=getattr(args, "graph_seed", 0),
+                               **_given(args, "extra_edge_fraction"))
     if method == "round":
         result = baselines.round_relaxed(np.loadtxt(args.frac_point, delimiter=",").ravel(), instance)
     else:

@@ -254,13 +254,14 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
 
     # a diverging run overflows on its way to the non-finite rate or energy that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)  # refuses an unknown flow
         if stride > 0:
             sample(0)
         start = time.perf_counter()
         for k in range(rounds):
             if k:
                 thermo = shrink(thermo)
-            rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
+                rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
             taken, stop, frozen = 0, None, False  # the freeze test and the sample stride count a round's steps
             while taken < steps:
                 if not frozen:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,23 +17,51 @@ _SPARSE_FILL = 1.0 / 32.0
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable connected undirected graph with unit edge weights.
+    """Immutable connected undirected graph with unit edge weights, built from (n, edges).
 
-    ``edges`` is a sorted tuple of (i, j) pairs with i < j. ``neighbors[i]``
-    is the sorted tuple of nodes adjacent to i, for per-agent computation.
-    Graphs compare by (n, edges, neighbors); a disconnected one is refused.
+    The edges are stored as a sorted tuple of (i, j) pairs with i < j, duplicates and
+    orientation ignored; a self-loop, an endpoint outside 0..n-1 or a disconnected
+    graph is refused. ``neighbors[i]`` is the sorted tuple of nodes adjacent to i, for
+    per-agent computation. Both it and ``arcs`` are derived: graphs compare by (n, edges).
     """
 
     n: int
     edges: tuple
-    neighbors: tuple
+    neighbors: tuple = field(init=False, compare=False, repr=False)
     # (rows, cols, degree) of the directed edges, if sparse; on a regular graph rows
     # is None and cols[k] holds each node's k-th neighbour in the order of ``edges``
-    arcs: tuple | None = field(default=None, compare=False)
+    arcs: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)  # an integer: not 2.5, nor 2.0
+        except TypeError:
+            n = -1
+        if n < 0:
+            raise InvalidGraphError(f"a graph needs an integer number of nodes >= 0, got {self.n!r}")
+        edge_set = {tuple(sorted((int(i), int(j)))) for i, j in self.edges}
+        adj = [[] for _ in range(n)]
+        for i, j in edge_set:
+            if i == j:
+                raise InvalidGraphError(f"self-loop at node {i}")
+            if i < 0 or j >= n:
+                raise InvalidGraphError(f"edge ({i},{j}) out of range for n={n}")
+            adj[i].append(j)
+            adj[j].append(i)
+        edges = tuple(sorted(edge_set))
+        arcs = None
+        if 2 * len(edges) <= _SPARSE_FILL * n * n:
+            heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+            rows, cols = np.r_[heads, tails], np.r_[tails, heads]
+            degree = np.bincount(rows, minlength=n).astype(float)
+            if n and degree.min() == degree.max() > 0:  # regular: whole-vector gathers
+                rows, cols = None, cols[np.argsort(rows, kind="stable")].reshape(n, -1).T.copy()
+            arcs = (rows, cols, degree)
+        for name, value in (("n", n), ("edges", edges), ("arcs", arcs),
+                            ("neighbors", tuple(tuple(sorted(a)) for a in adj))):
+            object.__setattr__(self, name, value)
         if not is_connected(self):
-            raise ConnectivityError(f"the graph on {self.n} nodes is disconnected")
+            raise ConnectivityError(f"the graph on {n} nodes is disconnected")
 
     @cached_property
     def laplacian(self):
@@ -57,34 +86,6 @@ class Graph:
         # bincount's sums, slot by slot from 0.0 (an outer-axis reduce): the same bits
         acc = np.add.reduce(v[cols], axis=0, initial=0.0)
         return np.subtract(degree * v, acc, out=acc)
-
-
-def build_graph(n, edges):
-    """Validate and store an undirected edge list; duplicates and orientation are ignored."""
-    edge_set = {tuple(sorted((int(i), int(j)))) for i, j in edges}
-    adj = [[] for _ in range(n)]
-    for i, j in edge_set:
-        if i == j:
-            raise InvalidGraphError(f"self-loop at node {i}")
-        if i < 0 or j >= n:
-            raise InvalidGraphError(f"edge ({i},{j}) out of range for n={n}")
-        adj[i].append(j)
-        adj[j].append(i)
-    edges = tuple(sorted(edge_set))
-    arcs = None
-    if 2 * len(edges) <= _SPARSE_FILL * n * n:
-        heads, tails = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-        rows, cols = np.r_[heads, tails], np.r_[tails, heads]
-        degree = np.bincount(rows, minlength=n).astype(float)
-        if n and degree.min() == degree.max() > 0:  # regular: whole-vector gathers
-            rows, cols = None, cols[np.argsort(rows, kind="stable")].reshape(n, -1).T.copy()
-        arcs = (rows, cols, degree)
-    return Graph(
-        n=n,
-        edges=edges,
-        neighbors=tuple(tuple(sorted(a)) for a in adj),
-        arcs=arcs,
-    )
 
 
 def is_connected(graph):
@@ -140,19 +141,19 @@ def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=Non
             take = int(round(extra_edge_fraction * len(rest)))
             idx = rng.choice(len(rest), size=take, replace=False)
             edges.update(rest[k] for k in idx)
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def named_topology(name, n, seed=None, extra_edge_fraction=_EXTRA_EDGE_FRACTION):
     """Graphs by name: ring, path, complete, or random (seeded)."""
     if name == "path":
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if name == "ring":
         if n < 3:
             return named_topology("path", n)
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
     if name == "complete":
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if name == "random":
         return random_connected_graph(n, extra_edge_fraction, seed)
     raise ValueError(f"unknown topology {name!r}")

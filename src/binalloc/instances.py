@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoefficientError, ShapeError
-from .graphs import build_graph
+from .graphs import Graph
 
 # random_instance's target output and penalty; the campaign and from_json_dict read them
 DEFAULT_P_REF = 1500.0
@@ -161,8 +161,10 @@ def random_instance(
     return Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
 
 
-def to_json_dict(instance, edges=None):
-    """Serializable dict in the on-disk schema (keys n, p, a, b, d, gamma, p_ref)."""
+def to_json_dict(instance, graph=None):
+    """Serializable dict in the on-disk schema: keys n, p, a, b, d, gamma, p_ref (and edges)."""
+    if graph is not None and graph.n != instance.n:
+        raise ShapeError(f"the graph has {graph.n} nodes, the instance {instance.n} agents")
     doc = {
         "n": instance.n,
         "p": instance.output.tolist(),
@@ -172,19 +174,20 @@ def to_json_dict(instance, edges=None):
         "gamma": instance.penalty,
         "p_ref": instance.target,
     }
-    if edges is not None:
-        doc["edges"] = [[int(i), int(j)] for i, j in edges]
+    if graph is not None:
+        doc["edges"] = [list(e) for e in graph.edges]
     return doc
 
 
-def save_instance(instance, path, edges=None):
+def save_instance(instance, path, graph=None):
+    doc = to_json_dict(instance, graph)  # a refused graph leaves no file behind
     with open(path, "w") as fh:
-        json.dump(to_json_dict(instance, edges), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def from_json_dict(doc):
-    """Build (instance, edges-or-None) from the on-disk schema.
+    """Build (instance, graph-or-None) from the on-disk schema.
 
     Accepts either explicit a+b arrays or a c array (centers are then fitted
     with default quadratic coefficients).
@@ -204,8 +207,8 @@ def from_json_dict(doc):
     else:
         raise ShapeError("instance JSON needs either 'a'+'b' or 'c'")
     inst = Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
-    edges = doc.get("edges")  # build_graph validates the endpoints and the connectivity
-    return inst, None if edges is None else build_graph(n, [tuple(e) for e in edges]).edges
+    edges = doc.get("edges")
+    return inst, None if edges is None else Graph(n, edges)
 
 
 def load_instance(path):

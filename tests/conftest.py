@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from binalloc import Instance, Thermo, build_graph
+from binalloc import Graph, Instance, Thermo
 from binalloc.graphs import named_topology
 
 
@@ -20,7 +20,7 @@ def two_agent():
 
 @pytest.fixture
 def pair_graph():
-    return build_graph(2, [(0, 1)])
+    return Graph(2, [(0, 1)])
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from binalloc.energy import (
     pt_inverse_scalar,
 )
 from binalloc.graphs import (
-    build_graph,
+    Graph,
     random_connected_graph,
     y_star,
 )
@@ -95,7 +95,7 @@ def test_criterion_1_two_agent_reproduction():
         sample_stride=0,
         anneal=AnnealSchedule(beta=1.4, t_d=2.0, steps=15, knob="T-down"),
     )
-    graph = build_graph(2, [(0, 1)])
+    graph = Graph(2, [(0, 1)])
     hits = {"binnn-c": 0, "binnn-d": 0}
     for flow in hits:
         g = graph if flow == "binnn-d" else None

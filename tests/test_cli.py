@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, SolverConfig, anneal
+from binalloc import AnnealSchedule, Graph, SolverConfig, anneal, graphs
 from binalloc.cli import _solver_config, build_parser, main
 from binalloc.instances import save_instance, to_json_dict
 
@@ -14,7 +14,7 @@ from binalloc.instances import save_instance, to_json_dict
 @pytest.fixture
 def two_agent_file(tmp_path, two_agent):
     path = tmp_path / "two.json"
-    save_instance(two_agent, path, edges=[(0, 1)])
+    save_instance(two_agent, path, Graph(2, [(0, 1)]))
     return str(path)
 
 
@@ -220,6 +220,21 @@ def test_solve_disconnected_graph_is_runtime_error(tmp_path, two_agent, capsys):
     code = run_cli(["solve", str(path), "--method", "binnn-d"])
     assert code == 1
     assert "connect" in capsys.readouterr().err.lower()
+
+
+def test_solve_out_of_range_edge_is_runtime_error(tmp_path, two_agent, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**to_json_dict(two_agent), "edges": [[0, 1], [0, 5]]}))
+    assert run_cli(["solve", str(path), "--method", "binnn-d"]) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_a_listed_graph_is_checked_once(two_agent_file, monkeypatch, capsys):
+    checked, listed = [], Graph(2, [(0, 1)])
+    is_connected = graphs.is_connected
+    monkeypatch.setattr(graphs, "is_connected", lambda graph: checked.append(graph) or is_connected(graph))
+    assert run_cli(["solve", two_agent_file, "--method", "binnn-d", "--t-max", "1"]) == 0
+    assert checked == [listed]  # built once, as the file is loaded
 
 
 def test_solve_brute_over_cap_is_runtime_error(tmp_path, capsys):

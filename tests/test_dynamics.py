@@ -26,7 +26,7 @@ from binalloc.energy import (
     pt_inverse_scalar,
 )
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
-from binalloc.graphs import build_graph, named_topology, random_connected_graph, y_star
+from binalloc.graphs import Graph, named_topology, random_connected_graph, y_star
 from binalloc.instances import Instance, random_instance, residual_weight
 from oracles import agent_rates, joint_hessian, schur_spectrum
 
@@ -400,7 +400,15 @@ def test_run_rejects_bad_flow_and_missing_graph(two_agent):
     with pytest.raises(ValueError):
         run("binnn-d", two_agent, graph=None)
     with pytest.raises(ConnectivityError):
-        run("binnn-d", two_agent, graph=build_graph(2, []))
+        run("binnn-d", two_agent, graph=Graph(2, []))
+
+
+def test_an_unknown_flow_is_refused_before_any_energy(monkeypatch):
+    calls, energy_at = [], en.energy
+    monkeypatch.setattr(en, "energy", lambda *args: calls.append(args) or energy_at(*args))
+    with pytest.raises(ValueError, match="unknown flow kind 'sgd'"):
+        run("sgd", random_instance(50, 0))
+    assert calls == []  # the start sample is taken after the rates are built
 
 
 def test_flow_rates_rejects_an_unknown_flow(two_agent):

@@ -5,7 +5,6 @@ from binalloc import graphs
 from binalloc.errors import ConnectivityError, InvalidGraphError, ShapeError
 from binalloc.graphs import (
     Graph,
-    build_graph,
     is_connected,
     named_topology,
     random_connected_graph,
@@ -14,25 +13,59 @@ from binalloc.graphs import (
 
 
 def test_laplacian_path3():
-    lap = build_graph(3, [(0, 1), (1, 2)]).laplacian
+    lap = Graph(3, [(0, 1), (1, 2)]).laplacian
     assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_laplacian_complete2():
-    assert np.array_equal(build_graph(2, [(0, 1)]).laplacian, [[1, -1], [-1, 1]])
+    assert np.array_equal(Graph(2, [(0, 1)]).laplacian, [[1, -1], [-1, 1]])
 
 
 def test_laplacian_empty():
-    assert np.array_equal(build_graph(1, []).laplacian, np.zeros((1, 1)))
+    assert np.array_equal(Graph(1, []).laplacian, np.zeros((1, 1)))
     with pytest.raises(ConnectivityError):
-        build_graph(3, [])
+        Graph(3, [])
 
 
 def test_laplacian_rejects_self_loop_and_range():
     with pytest.raises(InvalidGraphError):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(InvalidGraphError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
+
+
+def test_graph_edges_are_normalized_and_their_endpoints_checked():
+    assert Graph(3, [(1, 0), (0, 1), (2, 1)]).edges == ((0, 1), (1, 2))
+    assert Graph(3, [(1, 0), (2, 1)]) == Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidGraphError, match="out of range"):
+        Graph(2, [(0, 5)])
+    with pytest.raises(InvalidGraphError, match="self-loop"):
+        Graph(2, [(0, 0), (0, 1)])
+
+
+def test_graph_size_is_an_integer_of_at_least_zero():
+    for n in (-1, 2.5, 2.0, "2", None):
+        with pytest.raises(InvalidGraphError, match="integer number of nodes"):
+            Graph(n, [])
+    assert Graph(0, []).n == 0
+    g = Graph(np.int64(2), [(0, 1)])
+    assert type(g.n) is int and g == Graph(2, [(0, 1)])
+
+
+def test_neighbors_and_arcs_are_derived_from_the_edges():
+    with pytest.raises(TypeError):  # three descriptions that could disagree: one is taken
+        Graph(n=3, edges=((0, 1), (1, 2)), neighbors=((1, 2), (0, 2), (0, 1)))
+    g = Graph(3, ((0, 1), (1, 2)))
+    assert g.neighbors == ((1,), (0, 2), (1,))
+    assert np.all(g.laplacian.sum(axis=1) == 0.0)
+
+
+def test_a_ring_built_directly_is_the_named_ring():
+    n = 3000
+    ring, named = Graph(n, [(i, (i + 1) % n) for i in range(n)]), named_topology("ring", n)
+    assert ring.arcs is not None and ring == named
+    v = np.random.default_rng(0).normal(size=n)
+    assert ring.apply_laplacian(v).tobytes() == named.apply_laplacian(v).tobytes()
 
 
 def test_laplacian_zero_row_sums_exact():
@@ -42,12 +75,12 @@ def test_laplacian_zero_row_sums_exact():
 
 
 def test_is_connected_examples():
-    assert is_connected(build_graph(3, [(0, 1), (1, 2)]))
+    assert is_connected(Graph(3, [(0, 1), (1, 2)]))
     assert is_connected(named_topology("complete", 5))
     with pytest.raises(ConnectivityError):  # a Graph is connected, however it is built
-        build_graph(2, [])
+        Graph(2, [])
     with pytest.raises(ConnectivityError):
-        Graph(n=3, edges=((0, 1),), neighbors=((1,), (0,), ()))
+        Graph(3, [(0, 1)])
 
 
 def test_graphs_compare_and_hash_by_their_edges():
@@ -58,13 +91,13 @@ def test_graphs_compare_and_hash_by_their_edges():
 
 
 def test_graph_guards():
-    assert is_connected(build_graph(0, []))  # no node is left unreached
+    assert is_connected(Graph(0, []))  # no node is left unreached
     with pytest.raises(ConnectivityError):
-        y_star(build_graph(3, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
+        y_star(Graph(3, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
     with pytest.raises(ShapeError):
-        y_star(build_graph(2, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5])
+        y_star(Graph(2, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ShapeError):
-        y_star(build_graph(2, [(0, 1)]), [1.0, 1.0], [0.5])
+        y_star(Graph(2, [(0, 1)]), [1.0, 1.0], [0.5])
     with pytest.raises(ValueError, match="n must be >= 1"):
         random_connected_graph(0)
 
@@ -76,7 +109,7 @@ def test_fiedler_positive_for_connected():
 
 
 def test_y_star_examples():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert np.allclose(y_star(g, [3.0, 1.0], [1.0, 0.0]), [-0.75, 0.75],
                        atol=1e-14)
     assert np.allclose(y_star(g, [3.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
@@ -165,7 +198,7 @@ def test_apply_laplacian_equals_dense_product_on_both_sides(n, topology, monkeyp
     sides = []
     for fill in (0.0, 1.0):  # 0 stores only edgeless graphs as edge lists, 1 every graph
         monkeypatch.setattr(graphs, "_SPARSE_FILL", fill)
-        sides.append(build_graph(n, g.edges))
+        sides.append(Graph(n, g.edges))
     assert sides[1].arcs is not None and (sides[0].arcs is None or not g.edges)
     for side in sides:
         got = side.apply_laplacian(v)
@@ -195,7 +228,7 @@ def _arc_sum_laplacian(graph, v):
 def test_apply_laplacian_keeps_the_bits_of_the_arc_sum(name, edges, regular, monkeypatch):
     monkeypatch.setattr(graphs, "_SPARSE_FILL", 1.0)
     n = 1 + max((max(e) for e in edges), default=0)  # edgeless: one node, zero arcs
-    g = build_graph(n, edges)
+    g = Graph(n, edges)
     assert g.arcs is not None and (g.arcs[0] is None) == regular
     rng = np.random.default_rng(n)
     with np.errstate(over="ignore", invalid="ignore"):

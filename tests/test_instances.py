@@ -19,6 +19,7 @@ from binalloc.errors import (
     InvalidGraphError,
     ShapeError,
 )
+from binalloc.graphs import Graph, named_topology
 from binalloc.instances import (
     DEFAULT_GAMMA,
     DEFAULT_P_REF,
@@ -195,20 +196,37 @@ def test_instance_refuses_zero_agents():
 
 def test_json_round_trip(tmp_path, two_agent):
     path = tmp_path / "inst.json"
-    save_instance(two_agent, path, edges=[(0, 1)])
-    loaded, edges = load_instance(path)
+    save_instance(two_agent, path, Graph(2, [(0, 1)]))
+    loaded, graph = load_instance(path)
     assert np.allclose(loaded.quad, two_agent.quad)
     assert np.allclose(loaded.center, two_agent.center)
     assert np.allclose(loaded.output, two_agent.output)
     assert loaded.penalty == two_agent.penalty
     assert loaded.target == two_agent.target
-    assert edges == ((0, 1),)
+    assert graph == Graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("topology", ["ring", "path", "random"])
+def test_a_graph_round_trips_through_a_file(tmp_path, topology):
+    instance, graph = random_instance(30, 0), named_topology(topology, 30, seed=4)
+    save_instance(instance, tmp_path / "inst.json", graph)
+    loaded, loaded_graph = load_instance(tmp_path / "inst.json")
+    assert loaded_graph == graph and loaded_graph.neighbors == graph.neighbors
+    assert np.array_equal(loaded.output, instance.output)
+
+
+def test_a_graph_of_another_size_is_not_saved(tmp_path, two_agent):
+    with pytest.raises(ShapeError, match="3 nodes"):
+        save_instance(two_agent, tmp_path / "inst.json", named_topology("path", 3))
+    assert not (tmp_path / "inst.json").exists()
+    with pytest.raises(ShapeError):
+        to_json_dict(two_agent, Graph(1, []))
 
 
 def test_json_accepts_incremental_costs():
     doc = {"n": 2, "p": [3.0, 1.0], "c": [2.0, 1.0], "gamma": 4.0, "p_ref": 2.8}
-    inst, edges = from_json_dict(doc)
-    assert edges is None
+    inst, graph = from_json_dict(doc)
+    assert graph is None
     assert np.allclose(inst.incr_cost, [2.0, 1.0], atol=1e-12)
 
 
