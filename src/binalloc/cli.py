@@ -16,8 +16,6 @@ from .instances import load_instance, random_instance, save_instance
 
 CAMPAIGN_METHODS = tuple(bench.NN_METHODS) + tuple(baselines.SOLVERS)
 _OMIT = argparse.SUPPRESS  # a flag not given stays out of args: the library default applies
-# flags that only a random graph reads; solve's graph is random unless a topology is named
-_RANDOM_GRAPH_FLAGS = ("extra_edge_fraction", "graph_seed")
 
 
 def _pair(text):
@@ -66,28 +64,17 @@ def _cmd_gen(args):
     instance = random_instance(
         args.n, args.seed, **_given(args, "p_range", "exponent_range", "p_ref", "gamma")
     )
-    graph = None
-    if args.topology:
-        graph = named_topology(args.topology, args.n, seed=args.seed, **_given(args, "extra_edge_fraction"))
+    graph = args.topology and named_topology(args.topology, args.n, seed=args.seed,
+                                             **_given(args, "extra_edge_fraction"))
     save_instance(instance, args.out, graph)
     norm = float(np.linalg.norm(instance.output))
     print(f"wrote {args.out}: n={instance.n} |p|={norm:.6g} p_ref={instance.target:.6g}")
     return 0
 
 
-def _builds_graph(method):
-    return method.startswith("binnn-d")
-
-
 def _cmd_solve(args):
-    instance, graph = load_instance(args.instance)
-    if graph is not None and (args.topology or _given(args, *_RANDOM_GRAPH_FLAGS)):
-        raise ValueError(f"{args.instance} lists its edges: --topology, --extra-edges and "
-                         "--graph-seed have no graph to set")
+    instance, graph = load_instance(args.instance)  # a flow runs on the listed graph alone
     method, cfg = args.method, _solver_config(args)
-    if graph is None and _builds_graph(method):  # a listed graph is used as loaded
-        graph = named_topology(args.topology or "random", instance.n, seed=getattr(args, "graph_seed", 0),
-                               **_given(args, "extra_edge_fraction"))
     if method == "round":
         result = baselines.round_relaxed(np.loadtxt(args.frac_point, delimiter=",").ravel(), instance)
     else:
@@ -161,9 +148,6 @@ def build_parser():
     solve.add_argument("instance")
     solve.add_argument("--method", choices=CAMPAIGN_METHODS + ("round",), required=True)
     solve.add_argument("--frac-point", help="CSV fractional point for --method round")
-    solve.add_argument("--topology", choices=("ring", "path", "complete", "random"))
-    solve.add_argument("--graph-seed", type=int, default=_OMIT)
-    solve.add_argument("--extra-edges", dest="extra_edge_fraction", type=float, default=_OMIT)
     solve.add_argument("--traj-out", help="write the trajectory CSV here")
     _add_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
@@ -196,11 +180,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "gen" and args.n < 1:
         parser.error("--n must be >= 1")
-    random_flags = _given(args, *_RANDOM_GRAPH_FLAGS)
-    if random_flags and (args.topology or args.command) not in ("random", "solve"):
-        parser.error("only --topology random reads --extra-edges and --graph-seed")
-    if args.command == "solve" and not _builds_graph(args.method) and (args.topology or random_flags):
-        parser.error(f"--method {args.method} builds no graph for --topology, --extra-edges or --graph-seed")
+    if "extra_edge_fraction" in args and args.topology != "random":
+        parser.error("only --topology random reads --extra-edges")
     if args.command == "solve" and args.method == "round" and not args.frac_point:
         parser.error("--method round requires --frac-point")
     if args.command == "bench":  # resolved before anything runs: Q needs two methods

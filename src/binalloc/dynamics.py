@@ -129,6 +129,8 @@ def init_state(n, eps_init=SolverConfig.eps_init, seed=None, mode="centralized")
     """
     if not 0 < eps_init < 0.5:
         raise ValueError("eps_init must be in (0, 0.5)")
+    if mode not in ("centralized", "distributed"):
+        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=n)
     direction /= np.linalg.norm(direction)

@@ -39,7 +39,10 @@ class Graph:
             n = -1
         if n < 0:
             raise InvalidGraphError(f"a graph needs an integer number of nodes >= 0, got {self.n!r}")
-        edge_set = {tuple(sorted((int(i), int(j)))) for i, j in self.edges}
+        try:  # integer endpoints: not 1.7, nor "1"
+            edge_set = {tuple(sorted((operator.index(i), operator.index(j)))) for i, j in self.edges}
+        except TypeError as exc:
+            raise InvalidGraphError(f"graph endpoints must be integers: {exc}") from None
         adj = [[] for _ in range(n)]
         for i, j in edge_set:
             if i == j:

@@ -9,6 +9,7 @@ together with per-agent outputs, a penalty weight and a target total output.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,10 @@ def from_json_dict(doc):
     Accepts either explicit a+b arrays or a c array (centers are then fitted
     with default quadratic coefficients).
     """
-    n = int(doc["n"])
+    try:  # an integer: not 2.7, nor "2"
+        n = operator.index(doc["n"])
+    except TypeError:
+        raise ShapeError(f"n must be an integer, got {doc['n']!r}") from None
     p = _vec(doc["p"], n, "p")
     gamma = float(doc.get("gamma", DEFAULT_GAMMA))
     p_ref = float(doc.get("p_ref", DEFAULT_P_REF))

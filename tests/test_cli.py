@@ -142,15 +142,10 @@ def test_anneal_flag_is_a_usage_error(two_agent_file):
     ["solve", "{file}", "--method", "greedy", "--h", "nan"],
     ["solve", "{file}", "--method", "greedy", "--t-max", "inf"],
     ["gen", "--n", "6", "--topology", "random", "--extra-edges", "1.5", "--out", "{out}"],
-    # the file lists its edges, so no graph is generated
-    ["solve", "{file}", "--method", "binnn-d", "--extra-edges", "0.5"],
-    ["solve", "{file}", "--method", "binnn-d-da", "--topology", "ring"],
-    ["solve", "{file}", "--method", "binnn-d", "--graph-seed", "5"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/short.csv"],
     ["solve", "{file}", "--method", "round", "--frac-point", "{dir}/long.csv"],
     ["solve", "{dir}/empty.json", "--method", "hnn"],
-], ids=["h-nan", "t-max-inf", "extra-edges", "extra-edges-on-edges", "topology-on-edges",
-        "graph-seed-on-edges", "frac-short", "frac-long", "no-agents"])
+], ids=["h-nan", "t-max-inf", "extra-edges", "frac-short", "frac-long", "no-agents"])
 def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, capsys, argv):
     # the settings are checked before any method runs; the instance has 2 agents
     out = tmp_path / "x.json"
@@ -168,34 +163,42 @@ def test_settings_that_cannot_run_are_runtime_errors(two_agent_file, tmp_path, c
     ["gen", "--n", "6", "--topology", "path", "--extra-edges", "0.5", "--out", "{out}"],
     ["gen", "--n", "6", "--topology", "complete", "--extra-edges", "0.5", "--out", "{out}"],
     ["gen", "--n", "6", "--extra-edges", "0.5", "--out", "{out}"],
-    ["solve", "{file}", "--method", "binnn-d", "--topology", "ring", "--extra-edges", "0.9"],
-    ["solve", "{file}", "--method", "binnn-d", "--topology", "ring", "--graph-seed", "5"],
-], ids=["gen-ring", "gen-path", "gen-complete", "gen-no-topology", "solve-ring",
-        "solve-ring-graph-seed"])
-def test_extra_edges_without_a_random_graph_is_usage_error(two_agent_file, tmp_path, argv):
-    # only the random topology reads --extra-edges and --graph-seed; refused before anything runs
+], ids=["gen-ring", "gen-path", "gen-complete", "gen-no-topology"])
+def test_extra_edges_without_a_random_graph_is_usage_error(tmp_path, argv):
+    # only the random topology reads --extra-edges; refused before anything runs
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
-        run_cli([arg.format(file=two_agent_file, out=out) for arg in argv])
+        run_cli([arg.format(out=out) for arg in argv])
     assert exc.value.code == 2
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "{file}", "--method", "greedy", "--topology", "ring"],
-    ["solve", "{file}", "--method", "binnn-c-da", "--topology", "random", "--extra-edges", "0.5"],
-    ["solve", "{file}", "--method", "hnn", "--extra-edges", "0.5"],
-    ["solve", "{file}", "--method", "round", "--frac-point", "{file}", "--topology", "path"],
-    ["solve", "{file}", "--method", "greedy", "--graph-seed", "5"],
-], ids=["greedy-topology", "binnn-c-da-both", "hnn-extra-edges", "round-topology",
-        "greedy-graph-seed"])
-def test_graph_flags_on_a_method_without_a_graph_are_usage_errors(two_agent_file, capsys, argv):
-    # only binnn-d and binnn-d-da build a graph; refused before anything runs, so before
-    # the instance file (which lists its edges) is read
+@pytest.mark.parametrize("method, flags", [
+    ("binnn-d", ["--extra-edges", "0.5"]),
+    ("binnn-d-da", ["--topology", "ring"]),
+    ("binnn-d", ["--graph-seed", "5"]),
+    ("binnn-d", ["--topology", "ring", "--extra-edges", "0.9"]),
+    ("binnn-d", ["--topology", "ring", "--graph-seed", "5"]),
+    ("greedy", ["--topology", "ring"]),
+    ("binnn-c-da", ["--topology", "random", "--extra-edges", "0.5"]),
+    ("hnn", ["--extra-edges", "0.5"]),
+    ("round", ["--frac-point", "f.csv", "--topology", "path"]),
+    ("greedy", ["--graph-seed", "5"]),
+], ids=["extra-edges-on-edges", "topology-on-edges", "graph-seed-on-edges", "solve-ring",
+        "solve-ring-graph-seed", "greedy-topology", "binnn-c-da-both", "hnn-extra-edges",
+        "round-topology", "greedy-graph-seed"])
+def test_solve_takes_no_graph_flag(tmp_path, monkeypatch, capsys, method, flags):
+    # the instance file is the one home of a solve's graph: any graph flag is an unknown
+    # flag, refused before the file is read
+    import binalloc.cli as cli
+
+    read = []
+    monkeypatch.setattr(cli, "load_instance", lambda path: read.append(path))
     with pytest.raises(SystemExit) as exc:
-        run_cli([arg.format(file=two_agent_file) for arg in argv])
+        run_cli(["solve", str(tmp_path / "inst.json"), "--method", method, *flags])
     assert exc.value.code == 2
-    assert "builds no graph" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert read == []
 
 
 @pytest.mark.parametrize("key, value", [
@@ -207,6 +210,13 @@ def test_solve_refuses_non_finite_instance_data(tmp_path, two_agent, capsys, key
     code = run_cli(["solve", str(path), "--method", "greedy"])
     assert code == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_solve_non_integer_size_is_runtime_error(tmp_path, two_agent, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**to_json_dict(two_agent), "n": 2.7}))
+    assert run_cli(["solve", str(path), "--method", "greedy"]) == 1
+    assert capsys.readouterr().err == "error: n must be an integer, got 2.7\n"
 
 
 def test_solve_disconnected_graph_is_runtime_error(tmp_path, two_agent, capsys):
@@ -429,15 +439,16 @@ def test_each_bench_flag_lands_in_its_own_field(tmp_path, monkeypatch, flag, val
     assert _changed(_flat(plain), _flat(flagged)) == {changed}
 
 
-def test_graph_seed_seeds_the_random_graph_and_defaults_to_zero(tmp_path, monkeypatch, two_agent):
+def test_a_distributed_flow_on_an_edgeless_file_is_a_runtime_error(tmp_path, monkeypatch, capsys, two_agent):
     import binalloc.cli as cli
 
-    save_instance(two_agent, tmp_path / "free.json")  # no edge list: solve draws a random graph
-    seeds = []
-    monkeypatch.setattr(cli, "named_topology", lambda name, n, seed=None: seeds.append(seed))
-    for extra in ([], ["--graph-seed", "5"]):  # the graph is None, so the flow refuses to run
-        assert main(["solve", str(tmp_path / "free.json"), "--method", "binnn-d", *extra]) == 1
-    assert seeds == [0, 5]
+    save_instance(two_agent, tmp_path / "free.json")  # no edge list: no graph to run on
+    drawn = []
+    monkeypatch.setattr(cli, "named_topology", lambda *args, **kwargs: drawn.append(args))
+    for method in ("binnn-d", "binnn-d-da"):
+        assert main(["solve", str(tmp_path / "free.json"), "--method", method]) == 1
+        assert "error: the distributed flow requires a graph" in capsys.readouterr().err
+    assert drawn == []
 
 
 def test_sweep_writes_scaling_csv(tmp_path, capsys):

@@ -76,6 +76,11 @@ def test_init_state_ball_and_determinism():
         init_state(3, eps_init=0.7)
 
 
+def test_init_state_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'distribute'"):
+        init_state(3, mode="distribute")
+
+
 def test_binnn_c_equilibrium_fixed_point():
     # at x = 0.5 the coupling, bias and barrier slopes all cancel by design
     inst = Instance(quad=[-5.0], center=[0.4], passive=[0.0], output=[1.0],

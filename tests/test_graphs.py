@@ -41,6 +41,12 @@ def test_graph_edges_are_normalized_and_their_endpoints_checked():
         Graph(2, [(0, 5)])
     with pytest.raises(InvalidGraphError, match="self-loop"):
         Graph(2, [(0, 0), (0, 1)])
+    # read as they are, never truncated: 1.7 is not node 1, nor "0" node 0
+    for edges in ([(0, 1.7)], [(0, 1.0)], [("0", "1"), (1, 2)], [(0, 1), (1, 2.9)], [(None, 1)]):
+        with pytest.raises(InvalidGraphError, match="endpoints must be integers"):
+            Graph(3, edges)
+    g = Graph(3, np.array([[0, 1], [1, 2]]))
+    assert g.edges == ((0, 1), (1, 2)) and all(type(i) is int for e in g.edges for i in e)
 
 
 def test_graph_size_is_an_integer_of_at_least_zero():

@@ -240,6 +240,12 @@ def test_json_rejects_missing_costs():
         from_json_dict({"n": 1, "p": [1.0]})
 
 
+def test_json_size_is_an_integer():
+    for n in (2.7, 2.0, "2", None):
+        with pytest.raises(ShapeError, match="n must be an integer"):
+            from_json_dict({"n": n, "p": [1.0, 2.0], "c": [1.0, 4.0]})
+
+
 def test_json_rejects_disconnected_edges():
     doc = {
         "n": 3,
