@@ -53,8 +53,9 @@ class CampaignConfig:
     def __post_init__(self):
         if not (dynamics._count(self.n, 1) and dynamics._count(self.trials, 1)):
             raise ValueError(f"n and trials must be integers >= 1, got {self.n} and {self.trials}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
+        unknown = sorted(set(self.methods) - NN_METHODS.keys() - baselines.SOLVERS.keys())
+        if not self.methods or unknown:  # refused before any solve runs
+            raise ValueError(f"unknown method {unknown[0]!r}" if unknown else "methods must be non-empty")
         if self.solver.anneal is None and any(m.endswith("-da") for m in self.methods):
             raise ValueError("annealed methods require solver.anneal to be set")
 

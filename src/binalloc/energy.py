@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instances import _vec, eval_p1, residual_weight
+from .instances import _agent_costs, _vec, eval_p1, residual_weight
 
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
@@ -53,9 +53,7 @@ def barrier_integral(z, temp):
 
 
 def _interior(x, n):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ShapeError(f"x has shape {x.shape}, expected ({n},)")
+    x = _vec(x, n, "x")
     if not np.all((x > 0.0) & (x < 1.0)):  # a NaN fails too
         raise DomainError("derivatives require x strictly inside (0,1)^n")
     return x
@@ -114,24 +112,15 @@ def centralized_ctx(instance):
 
 @dataclass(frozen=True)
 class DistributedEnergyCtx:
-    """The distributed energy's one home: P2 = sum(f) + 0.5 weight |output*x + L y - target/n|^2,
-    its gradients, its diagonal Hessian in x and the fused binnn-d rates."""
+    """The constants of P2's residual term 0.5 weight |output*x + L y - target/n|^2 and of
+    the distributed energy's gradients, its diagonal Hessian in x and the fused binnn-d rates."""
 
     weight: float  # residual_weight(instance)
-    half_quad: np.ndarray  # 0.5 * quad
-    center: np.ndarray
-    half_quad_center2: np.ndarray  # 0.5 * quad * center**2
-    passive: np.ndarray
     output: np.ndarray
     coupling_diag: np.ndarray  # quad + weight * output**2
     weight_output: np.ndarray  # weight * output
     quad_center: np.ndarray  # quad * center
     target_share: float  # target / n
-
-    def p2(self, x, lap_y):
-        agent = self.half_quad * (x - self.center) ** 2 - self.half_quad_center2 + self.passive
-        residual = self.output * x + lap_y - self.target_share
-        return float(agent.sum() + 0.5 * self.weight * float(residual @ residual))
 
     def grad(self, x, lap_y, ratio):
         """The x-gradient, with ``ratio`` = temp / time_const, on two fresh arrays."""
@@ -177,8 +166,7 @@ class DistributedEnergyCtx:
 
 def distributed_ctx(instance):
     a, b, p, w = instance.quad, instance.center, instance.output, residual_weight(instance)
-    return DistributedEnergyCtx(w, 0.5 * a, b, 0.5 * a * b**2, instance.passive, p, a + w * p**2,
-                                w * p, a * b, instance.target / instance.n)
+    return DistributedEnergyCtx(w, p, a + w * p**2, w * p, a * b, instance.target / instance.n)
 
 
 def energy(instance, thermo, x):
@@ -199,11 +187,13 @@ def hessian(instance, thermo, x, ctx=None):
 
 
 def eval_p2(instance, graph, x, y, ctx=None):
-    """Distributed-form cost with auxiliary variable y over a communication graph."""
+    """P2: P1's agent costs plus the consensus residual of y over a communication graph."""
     if graph.n != instance.n:
         raise ShapeError(f"graph has {graph.n} nodes, instance has {instance.n}")
     x, y = _vec(x, instance.n, "x"), _vec(y, instance.n, "y")
-    return (ctx or distributed_ctx(instance)).p2(x, graph.apply_laplacian(y))
+    ctx = ctx or distributed_ctx(instance)
+    residual = ctx.output * x + graph.apply_laplacian(y) - ctx.target_share
+    return float(_agent_costs(instance, x).sum() + 0.5 * ctx.weight * float(residual @ residual))
 
 
 def energy_tilde(instance, graph, thermo, x, y, ctx=None):

@@ -116,13 +116,17 @@ def default_quad(output, penalty):
     return np.full(p.shape[0], -level * 1.1)
 
 
+def _agent_costs(instance, x):
+    """Each agent's own cost f_i(x_i): the part that P1 and P2 share."""
+    quad, center = instance.quad, instance.center
+    return 0.5 * quad * (x - center) ** 2 - 0.5 * quad * center**2 + instance.passive
+
+
 def eval_p1(instance, x):
     """Total cost: agent costs plus the squared global mismatch penalty."""
     x = _vec(x, instance.n, "x")
-    quad, center = instance.quad, instance.center
-    agent = 0.5 * quad * (x - center) ** 2 - 0.5 * quad * center**2 + instance.passive
     mismatch = float(instance.output @ x) - instance.target
-    return float(agent.sum() + 0.5 * instance.penalty * mismatch**2)
+    return float(_agent_costs(instance, x).sum() + 0.5 * instance.penalty * mismatch**2)
 
 
 def residual_weight(instance):
@@ -193,13 +197,16 @@ def from_json_dict(doc):
     Accepts either explicit a+b arrays or a c array (centers are then fitted
     with default quadratic coefficients).
     """
+    if not (isinstance(doc, dict) and "n" in doc and "p" in doc):
+        raise ShapeError("an instance is a JSON object with at least the keys 'n' and 'p'")
     try:  # an integer: not 2.7, nor "2"
         n = operator.index(doc["n"])
     except TypeError:
         raise ShapeError(f"n must be an integer, got {doc['n']!r}") from None
     p = _vec(doc["p"], n, "p")
-    gamma = float(doc.get("gamma", DEFAULT_GAMMA))
-    p_ref = float(doc.get("p_ref", DEFAULT_P_REF))
+    gamma, p_ref = doc.get("gamma", DEFAULT_GAMMA), doc.get("p_ref", DEFAULT_P_REF)
+    if not all(isinstance(v, (int, float)) for v in (gamma, p_ref)):  # a number: not "2", nor null
+        raise ShapeError(f"gamma and p_ref must be numbers, got {gamma!r} and {p_ref!r}")
     d = _vec(doc.get("d", np.zeros(n)), n, "d")
     if "a" in doc and "b" in doc:
         a = _vec(doc["a"], n, "a")

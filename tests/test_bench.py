@@ -196,6 +196,19 @@ def test_annealed_methods_need_a_schedule():
         solve_with_method("hnn-da", random_instance(4, 0, p_ref=20.0), None, unscheduled)
 
 
+@pytest.mark.parametrize("start", [
+    lambda: run_campaign(CampaignConfig(n=6, trials=2, methods=("greedy", "nope"))),
+    lambda: runtime_sweep([6], ("greedy", "nope"), per_n_trials=2),
+], ids=["campaign", "sweep"])
+def test_an_unknown_method_is_refused_before_any_solve(monkeypatch, start):
+    # refused as the config is built, as an annealed method without a schedule is
+    solved = []
+    monkeypatch.setattr(bench, "solve_with_method", lambda method, *args: solved.append(method))
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        start()
+    assert solved == []
+
+
 def test_solve_with_method_unknown():
     inst = random_instance(4, 0, p_ref=20.0)
     graph = random_connected_graph(4, 0.2, 0)

@@ -212,6 +212,21 @@ def test_solve_refuses_non_finite_instance_data(tmp_path, two_agent, capsys, key
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"p": [3.0, 1.0], "c": [2.0, 1.0]},
+    {"n": 2, "c": [2.0, 1.0]},
+    [2, [3.0, 1.0]],
+    {"n": 2, "p": [3.0, 1.0], "c": [2.0, 1.0], "gamma": None},
+    {"n": 2, "p": [3.0, 1.0], "c": [2.0, 1.0], "p_ref": [1]},
+], ids=["no-n", "no-p", "list", "null-gamma", "list-p_ref"])
+def test_a_file_that_is_not_an_instance_is_runtime_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", str(path), "--method", "greedy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_non_integer_size_is_runtime_error(tmp_path, two_agent, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**to_json_dict(two_agent), "n": 2.7}))

@@ -19,13 +19,14 @@ from binalloc.errors import (
     InvalidGraphError,
     ShapeError,
 )
-from binalloc.graphs import Graph, named_topology
+from binalloc.graphs import Graph, named_topology, y_star
 from binalloc.instances import (
     DEFAULT_GAMMA,
     DEFAULT_P_REF,
     default_quad,
     from_json_dict,
     load_instance,
+    residual_weight,
     save_instance,
     to_json_dict,
 )
@@ -133,6 +134,23 @@ def test_eval_p2_shift_invariance(bench_small):
     for theta in (-3.0, 0.5, 10.0):
         shifted = eval_p2(inst, graph, x, y + theta)
         assert shifted == pytest.approx(base, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("topology", ["random", "path", "ring"])
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_p2_minimized_over_y_is_the_agent_costs_plus_the_pooled_mismatch(n, topology):
+    # with w = residual_weight: min_y P2 = sum_i f_i(x_i) + 0.5 (w/n) (p.x - P)^2, at y_star
+    for seed in range(15):
+        rng = np.random.default_rng([n, seed])
+        inst = random_instance(n, seed, gamma=rng.uniform(0.5, 4.0), p_ref=rng.uniform(0.0, 30.0 * n))
+        graph = named_topology(topology, n, seed=seed)
+        w = residual_weight(inst)
+        for x in (rng.uniform(0.01, 0.99, n), rng.integers(0, 2, n).astype(float)):
+            agents = inst.quad * x * (0.5 * x - inst.center) + inst.passive  # f_i, expanded
+            mismatch = float(inst.output @ x) - inst.target
+            expect = agents.sum() + 0.5 * (w / n) * mismatch**2
+            got = eval_p2(inst, graph, x, y_star(graph, inst.output, x))
+            assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_round_to_binary_examples():
