@@ -101,12 +101,12 @@ class RunResult:
     y_final: np.ndarray | None
     bits: np.ndarray
     cost: float
-    trajectory: list  # (t, x, y, e) samples; read-only arrays, shared while the state stands still
+    trajectory: list  # (t, x, y, e) samples; x and y are read-only copies
     iterations: int
     wall_time: float
     converged: bool
     thermo_final: en.Thermo
-    round_ends: tuple  # read-only x at each round's end, stored as the samples are; run() is one round
+    round_ends: tuple  # a read-only copy of x at each round's end; run() is one round
 
 
 @dataclass(frozen=True)
@@ -217,15 +217,14 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     activation slope vanishes).
 
     One copy of (x, y) is stepped in place across the rounds, and one energy
-    context serves the whole solve. The rates read (x, y) alone, so once a step
-    leaves them bit-for-bit unchanged (tested after steps 1, 2, 4 and 8 of a
-    round, then every 16) the round is frozen: every later step repeats it, so
-    those steps are counted, and t and the samples taken, without computing
-    them. The result is the step-by-step loop's, exactly. A sampled energy that
-    is not finite fails, and so does a binnn-d round that ends with sum(y)
-    non-finite or drifted from zero. A stored state (a sample, a round end or
-    the end sample) is read-only, and reuses the arrays of the last stored state
-    while its bytes are equal; at the same knobs it also reuses that state's energy.
+    context serves the whole solve. The rates read (x, y) alone, so a step that
+    leaves them bit-for-bit unchanged would be repeated by every later step: the
+    round ends there, as it does on convergence, once a check finds such a step
+    (after steps 1, 2, 4 and 8 of a round, then every 16). Its end state is the
+    one the remaining steps would reach, and ``iterations`` counts the steps
+    computed. A sampled energy that is not finite fails, and so does a binnn-d
+    round that ends with sum(y) non-finite or drifted from zero. A stored state
+    (a sample or a round end) is a read-only copy.
     """
     state, thermo = _prepare(flow, instance, graph, config)
     ctx = (en.distributed_ctx if flow == "binnn-d" else en.centralized_ctx)(instance)
@@ -233,26 +232,17 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
     steps = math.ceil(duration / h - 1e-9)
     x, y, t = state.x, state.y, state.t
     samples, round_ends, iterations = [], [], 0
-    last = (None,) * 6  # the last stored state: x bytes, y bytes, read-only x and y, knobs, energy
 
-    def store(knobs=None):
-        """(x, y) read-only and, given ``knobs``, its energy at them; see the rule above."""
-        nonlocal last
-        xb, yb = x.tobytes(), None if y is None else y.tobytes()
-        if (xb, yb) != last[:2]:
-            ry = None if y is None else np.frombuffer(yb, y.dtype)
-            last = xb, yb, np.frombuffer(xb, x.dtype), ry, None, None
-        if knobs is not None and knobs is not last[4]:
-            last = last[:4] + (knobs, en.energy(instance, knobs, x) if y is None
-                               else en.energy_tilde(instance, graph, knobs, x, y, ctx))
-        return last[2], last[3], last[5]
+    def stored(v):
+        return None if v is None else np.frombuffer(v.tobytes(), v.dtype)
 
     def sample(done):  # ``done`` steps into the solve
-        xs, ys, e = store(thermo)
+        e = (en.energy(instance, thermo, x) if y is None
+             else en.energy_tilde(instance, graph, thermo, x, y, ctx))
         if not math.isfinite(e):
             raise NumericFailureError("non-finite energy", state=FlowState(x, y, t), trajectory=samples,
                                       iterations=done)
-        samples.append((t, xs, ys, e))
+        samples.append((t, stored(x), stored(y), e))
 
     # a diverging run overflows on its way to the non-finite rate or energy that raises
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -264,20 +254,20 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
             if k:
                 thermo = shrink(thermo)
                 rates = flow_rates(flow, instance, graph, thermo, config.alpha, ctx)
-            taken, stop, frozen = 0, None, False  # the freeze test and the sample stride count a round's steps
+            taken, stop = 0, None  # the freeze check and the sample stride count a round's steps
             while taken < steps:
-                if not frozen:
-                    check = (taken + 1) % _FREEZE_CHECK == 0 or taken + 1 in (1, 2, 4, 8)
-                    if check:
-                        before = x.tobytes(), None if y is None else y.tobytes()
-                    stop = _step(rates, x, y, config)
-                    if stop:
-                        break
-                    frozen = check and before == (x.tobytes(), None if y is None else y.tobytes())
+                check = (taken + 1) % _FREEZE_CHECK == 0 or taken + 1 in (1, 2, 4, 8)
+                if check:
+                    before = x.tobytes(), None if y is None else y.tobytes()
+                stop = _step(rates, x, y, config)
+                if stop:
+                    break
                 t += h
                 taken += 1
                 if stride > 0 and taken % stride == 0:
                     sample(iterations + taken)
+                if check and before == (x.tobytes(), None if y is None else y.tobytes()):
+                    break
             iterations += taken
             if stop != "non-finite flow rate" and y is not None:
                 total = float(y.sum())
@@ -288,7 +278,7 @@ def _solve(flow, instance, graph, config, rounds, duration, shrink=None):
             if stop not in (None, "converged"):
                 raise NumericFailureError(stop, state=FlowState(x, y, t), trajectory=samples,
                                           iterations=iterations)
-            round_ends.append(store()[0])
+            round_ends.append(stored(x))
         wall = time.perf_counter() - start
         if stride > 0 and samples[-1][0] != t:  # the end state, unless the stride just sampled it
             sample(iterations)

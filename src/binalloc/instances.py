@@ -23,7 +23,10 @@ DEFAULT_GAMMA = 1.0
 
 
 def _vec(values, n=None, name="vector"):
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(values, dtype=float))
+    except TypeError:  # a JSON object where numbers belong
+        raise ShapeError(f"{name} must hold only numbers") from None
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
@@ -199,12 +202,14 @@ def from_json_dict(doc):
     """
     if not (isinstance(doc, dict) and "n" in doc and "p" in doc):
         raise ShapeError("an instance is a JSON object with at least the keys 'n' and 'p'")
+    gamma, p_ref = doc.get("gamma", DEFAULT_GAMMA), doc.get("p_ref", DEFAULT_P_REF)
+    if any(isinstance(v, bool) for v in (doc["n"], gamma, p_ref)):  # JSON true is not a number
+        raise ShapeError("n, gamma and p_ref must be numbers, not booleans")
     try:  # an integer: not 2.7, nor "2"
         n = operator.index(doc["n"])
     except TypeError:
         raise ShapeError(f"n must be an integer, got {doc['n']!r}") from None
     p = _vec(doc["p"], n, "p")
-    gamma, p_ref = doc.get("gamma", DEFAULT_GAMMA), doc.get("p_ref", DEFAULT_P_REF)
     if not all(isinstance(v, (int, float)) for v in (gamma, p_ref)):  # a number: not "2", nor null
         raise ShapeError(f"gamma and p_ref must be numbers, got {gamma!r} and {p_ref!r}")
     d = _vec(doc.get("d", np.zeros(n)), n, "d")

@@ -56,7 +56,7 @@ def schur_spectrum(instance, graph, thermo, x):
 
 def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing the
-    integrator's step directly (``run`` skips the steps of a frozen state)."""
+    integrator's step directly (``run`` ends a round once its state freezes)."""
     flow, _ = bench.NN_METHODS[method]
     instance = random_instance(n, seed, p_ref=bench._SWEEP_P_REF_PER_AGENT * n)
     graph = random_connected_graph(n, seed=seed)

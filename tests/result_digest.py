@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the flow results of the benchmark workloads' seed-0 inputs.
+"""Two SHA-256 digests over the flow results of the benchmark workloads' seed-0 inputs.
 
     PYTHONPATH=src python tests/result_digest.py
 
@@ -12,9 +12,12 @@ the inputs are built by ``perfbench/benchkit``, which is only read:
 - newton-n200 and sparse-n2000 inputs 0-1, each method annealed with its
   seed and the workloads' ``SOLVE_CONFIG``.
 
-A result is hashed by its final state, bits, cost, iterations, convergence,
-final knobs, round ends and every trajectory sample; a flow that raises, by
-its exception. The name does not start with ``test_``: pytest skips it.
+The first line hashes a result by its final state, bits, cost, iterations,
+convergence, final knobs, round ends and every trajectory sample, and a flow
+that raises by its exception and step count. The second hashes the solutions
+alone: a result without its iterations and trajectory, a failure by its class
+and message. A change that only alters how a solve counts or samples its steps
+keeps the second line. The name does not start with ``test_``: pytest skips it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ def _feed_result(h, result, exc):
         _feed(h, *sample)
 
 
+def _feed_solution(h, result, exc):
+    if result is None:
+        _feed(h, type(exc).__name__, str(exc))
+        return
+    _feed(h, result.x_final, result.y_final, result.bits, result.cost, result.converged,
+          astuple(result.thermo_final), *result.round_ends)
+
+
 def results():
     """(instance, graph, result, exc) of every flow solve, in a fixed order."""
     out = []
@@ -77,13 +88,15 @@ def results():
 
 
 def main():
-    h = hashlib.sha256()
+    full, solutions = hashlib.sha256(), hashlib.sha256()
     solves = results()
     for _, _, result, exc in solves:
-        _feed_result(h, result, exc)
+        _feed_result(full, result, exc)
+        _feed_solution(solutions, result, exc)
     failed = sum(result is None for _, _, result, _ in solves)
     print(f"{len(solves)} flow results ({failed} raised)", file=sys.stderr)
-    print(h.hexdigest())
+    print(full.hexdigest())
+    print(solutions.hexdigest())
 
 
 if __name__ == "__main__":

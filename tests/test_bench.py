@@ -240,12 +240,12 @@ def test_median_step_time_positive():
 
 
 def test_median_step_time_computes_every_step_it_counts(rate_calls):
-    # at these settings hnn freezes, and run() skips most of its 50 steps
+    # at these settings hnn freezes, and run() ends before its 50 steps
     cfg = SolverConfig(thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
                        step=1e-3, t_max=50e-3, tol_x=1e-30, tol_y=1e-30,
                        sample_stride=0, seed=0)
     result = dynamics.run("hnn", random_instance(20, 0, p_ref=300.0), None, cfg)
-    assert result.iterations == 50 and rate_calls[0] < 50
+    assert result.iterations == rate_calls[0] < 50
     rate_calls[0] = 0
     median_step_time("hnn", 20, steps=50, seed=0, repeats=2)
     assert rate_calls[0] == 100

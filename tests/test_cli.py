@@ -227,6 +227,19 @@ def test_a_file_that_is_not_an_instance_is_runtime_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "p": [1.0], "a": {"x": 1}, "b": [1.0]},
+    {"n": 1, "p": [1.0], "c": [1.0], "d": {"x": 1}},
+    {"n": True, "p": [3.0], "c": [1.0]},
+], ids=["dict-a", "dict-d", "true-n"])
+def test_a_value_that_is_not_a_number_is_runtime_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", str(path), "--method", "greedy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_non_integer_size_is_runtime_error(tmp_path, two_agent, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**to_json_dict(two_agent), "n": 2.7}))

@@ -27,7 +27,7 @@ from binalloc.energy import (
 )
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
 from binalloc.graphs import Graph, named_topology, random_connected_graph, y_star
-from binalloc.instances import Instance, random_instance, residual_weight
+from binalloc.instances import Instance, random_instance, residual_weight, round_to_binary
 from oracles import agent_rates, joint_hessian, schur_spectrum
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
@@ -394,9 +394,10 @@ def test_run_zero_horizon(two_agent):
 
 
 def test_a_run_takes_t_max_over_h_steps():
-    # t summed one h at a time drifts past t_max - 1e-12; the step count does not
-    result = run("hnn", random_instance(100, 0), config=SolverConfig(seed=0, sample_stride=0))
-    assert result.iterations == 100000
+    # t summed one h at a time drifts past t_max - 1e-12; the step count does not.
+    # binnn-c moves on every step here: no freeze check ends the round early
+    result = run("binnn-c", random_instance(10, 0), config=SolverConfig(seed=0, t_max=100.0, sample_stride=0))
+    assert result.iterations == 10000
 
 
 def test_run_rejects_bad_flow_and_missing_graph(two_agent):
@@ -788,10 +789,13 @@ def test_a_trajectory_samples_its_end_state_once(stride):
         assert result.trajectory[-1][1].tobytes() == result.x_final.tobytes()
 
 
-def _step_by_step(flow, instance, graph, config):
-    """run()/anneal() as a plain loop that computes every step, ceil(duration/h)
-    of them per round, with the knobs shrunk between rounds, the end state
-    sampled once and a non-finite sampled energy failing the solve."""
+def _step_by_step(flow, instance, graph, config, full_horizon=False):
+    """run()/anneal() as a plain loop of at most ceil(duration/h) steps per round,
+    with the knobs shrunk between rounds, the end state sampled once and a
+    non-finite sampled energy failing the solve. A round ends after a step that
+    left (x, y) unchanged, if that step is one of ``dynamics._FREEZE_CHECK``'s
+    schedule: 1, 2, 4, 8, then every 16th. With ``full_horizon`` every round
+    takes all its steps instead, and no freeze ends it."""
     state, thermo = dynamics._prepare(flow, instance, graph, config)
     stride, sched = config.sample_stride, config.anneal
     samples, round_ends, iterations = [], [], 0
@@ -823,10 +827,14 @@ def _step_by_step(flow, instance, graph, config):
                 if (np.abs(xdot).max() < config.tol_x and y_rate < config.tol_y
                         and np.abs(g).max() < 10.0 * config.tol_x):
                     break
-                state = advance(state, xdot, ydot, config.step, config.eps_clip)
+                before, state = state, advance(state, xdot, ydot, config.step, config.eps_clip)
                 steps += 1
                 if stride > 0 and steps % stride == 0:
                     sample(state, iterations + steps)
+                checked = steps % dynamics._FREEZE_CHECK == 0 or steps in (1, 2, 4, 8)
+                if not full_horizon and checked and (
+                        (_bytes(before.x), _bytes(before.y)) == (_bytes(state.x), _bytes(state.y))):
+                    break
             iterations += steps
             round_ends.append(state.x)
         if not samples or samples[-1][0] != state.t:
@@ -848,15 +856,7 @@ def _assert_same_as_step_by_step(flow, instance, graph, config):
     assert result.thermo_final == thermo
     assert [x.tobytes() for x in result.round_ends] == [x.tobytes() for x in round_ends]
     _assert_same_samples(result.trajectory, samples)
-    # a round end that was sampled is its sample's array, as in the step-by-step loop
-    sampled = {id(x): k for k, (_, x, _, _) in enumerate(samples)}
-    for end, end_ref in zip(result.round_ends, round_ends):
-        assert id(end_ref) not in sampled or end is result.trajectory[sampled[id(end_ref)]][1]
-    # the one rule: a stored state is the last one's arrays while its bytes are equal
-    for (_, x0, y0, _), (_, x1, y1, _) in zip(result.trajectory, result.trajectory[1:]):
-        if (x0.tobytes(), _bytes(y0)) == (x1.tobytes(), _bytes(y1)):
-            assert x1 is x0 and y1 is y0
-    # stored states are read-only, so a write cannot reach the samples sharing one
+    # stored states are read-only, so a caller cannot write into a result's history
     stored = [v for _, x, y, _ in result.trajectory for v in (x, y) if v is not None]
     assert not any(v.flags.writeable for v in stored + list(result.round_ends))
     if stored:
@@ -879,12 +879,12 @@ CAMPAIGN_SOLVER = SolverConfig(
 
 @pytest.mark.parametrize("stride", [0, 7])
 def test_frozen_hnn_run_is_fast_forwarded_exactly(rate_calls, stride):
-    # the campaign defaults: the first step clips every coordinate
+    # the campaign defaults: the first step clips every coordinate, and the check
+    # after step 2 finds that it left the state unchanged: the run ends there
     inst = random_instance(20, 3, p_ref=1500.0)
     cfg = replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=stride)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
-    assert result.iterations == 3000
-    assert rate_calls[0] == 2  # frozen after step 1, found by the check after step 2
+    assert result.iterations == rate_calls[0] == 2
 
 
 def test_hnn_anneal_frozen_after_step_1_is_caught_by_step_2(rate_calls):
@@ -893,8 +893,7 @@ def test_hnn_anneal_frozen_after_step_1_is_caught_by_step_2(rate_calls):
     inst = random_instance(20, 3, p_ref=1500.0)
     cfg = replace(CAMPAIGN_SOLVER, sample_stride=3)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
-    assert result.iterations == 10 * 100
-    assert rate_calls[0] == 2 + 9 * 1
+    assert result.iterations == rate_calls[0] == 2 + 9 * 1
 
 
 @pytest.mark.parametrize("stride", [10, 0])
@@ -903,16 +902,15 @@ def test_frozen_hnn_anneal_keeps_trajectory_and_time(rate_calls, stride):
     inst = random_instance(20, 5, p_ref=1500.0)
     cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=stride)
     result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
-    assert rate_calls[0] < result.iterations  # it froze, and was fast-forwarded
-    # every round ends at the corner: one array, the last sample's if sampled
+    assert result.iterations == rate_calls[0] == 2 + 9 * 1  # every round ends once it froze
+    # every round ends at the corner
     assert len(result.round_ends) == 10
-    assert all(end is result.round_ends[0] for end in result.round_ends)
+    assert len({end.tobytes() for end in result.round_ends}) == 1
     if stride:
-        assert len(result.trajectory) == 1 + result.iterations // 10
-        # the start and the corner: one array each, shared by every sample of it
-        assert len({id(x) for _, x, _, _ in result.trajectory}) == 2
-        assert len({x.tobytes() for _, x, _, _ in result.trajectory}) == 2
-        assert result.round_ends[0] is result.trajectory[-1][1]
+        # the start and the corner, at the time of the steps computed
+        (t0, x0, _, _), (t1, x1, _, _) = result.trajectory
+        assert (t0, t1) == (0.0, pytest.approx(result.iterations * cfg.step))
+        assert x0.tobytes() != x1.tobytes() == result.round_ends[0].tobytes()
     else:
         assert result.trajectory == []
 
@@ -993,5 +991,51 @@ def test_a_sampled_anneal_builds_one_energy_context(flow, monkeypatch):
 
         monkeypatch.setattr(en, name, counted)
     result = anneal(flow, inst, graph, cfg)
-    assert len(result.round_ends) == 10 and len(result.trajectory) > 2
+    assert len(result.round_ends) == 10 and len(result.trajectory) >= 2
     assert builds == ["distributed_ctx" if flow == "binnn-d" else "centralized_ctx"]
+
+
+def _clipped_x_moving_y_binnn_d(schedule=None):
+    """binnn-d at a low temperature: x clips to the cube while the consensus y still moves."""
+    cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(0.01, 0.1, 0.1), alpha=1e-3, t_max=5.0,
+                  sample_stride=1, anneal=schedule)
+    return "binnn-d", random_instance(8, 1, p_ref=600.0), random_connected_graph(8, 0.2, 1), cfg
+
+
+@pytest.mark.parametrize("solve", [run, anneal])
+def test_iterations_count_the_rate_evaluations(rate_calls, solve):
+    # a frozen hnn, a moving binnn-c and a binnn-d whose y moves on; each config
+    # runs for t_max, or anneals in rounds
+    short = AnnealSchedule(beta=1.4, t_d=1.0, steps=3)
+    cases = [
+        ("hnn", random_instance(20, 3, p_ref=1500.0), None, replace(CAMPAIGN_SOLVER, sample_stride=7)),
+        ("binnn-c", random_instance(10, 2, p_ref=300.0), None,
+         replace(CAMPAIGN_SOLVER, step=0.01, t_max=1.0, sample_stride=7, anneal=short)),
+        _clipped_x_moving_y_binnn_d(short),
+    ]
+    for flow, inst, graph, cfg in cases:
+        rate_calls[0] = 0
+        result = solve(flow, inst, graph, cfg)
+        assert result.iterations == rate_calls[0], flow
+
+
+def test_ending_a_frozen_round_keeps_the_full_horizons_solution():
+    # the steps that a frozen round does not take would not have moved it
+    cases = [
+        ("hnn", random_instance(20, 3, p_ref=1500.0), None,
+         replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=7)),
+        ("hnn", random_instance(20, 5, p_ref=1500.0), None,
+         replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10)),
+        _clipped_x_moving_y_binnn_d(),
+    ]
+    for flow, inst, graph, cfg in cases:
+        result = (anneal if cfg.anneal else run)(flow, inst, graph, cfg)
+        state, iterations, _, round_ends, thermo = _step_by_step(flow, inst, graph, cfg,
+                                                                 full_horizon=True)
+        # the hnn rounds froze and ended early; binnn-d's y never stops moving
+        assert (result.iterations < iterations) == (flow == "hnn")
+        assert result.x_final.tobytes() == state.x.tobytes()
+        assert _bytes(result.y_final) == _bytes(state.y)
+        assert result.bits.tobytes() == round_to_binary(state.x).tobytes()
+        assert result.thermo_final == thermo
+        assert [x.tobytes() for x in result.round_ends] == [x.tobytes() for x in round_ends]

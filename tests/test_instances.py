@@ -264,6 +264,24 @@ def test_json_size_is_an_integer():
             from_json_dict({"n": n, "p": [1.0, 2.0], "c": [1.0, 4.0]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "p": [1.0], "a": {"x": 1}, "b": [1.0]},
+    {"n": 1, "p": [1.0], "c": [1.0], "d": {"x": 1}},
+    {"n": 1, "p": {"x": 1}, "c": [1.0]},
+    {"n": 1, "p": [1.0], "c": [{"x": 1}]},
+], ids=["a", "d", "p", "c-item"])
+def test_json_refuses_an_object_where_numbers_belong(doc):
+    with pytest.raises(ShapeError, match="must hold only numbers"):
+        from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("n", True), ("gamma", True), ("p_ref", False)])
+def test_json_refuses_a_boolean_for_a_number(key, value):
+    # JSON true is not a number, though Python's True is an int
+    with pytest.raises(ShapeError, match="not booleans"):
+        from_json_dict({"n": 1, "p": [3.0], "c": [1.0], key: value})
+
+
 def test_json_rejects_disconnected_edges():
     doc = {
         "n": 3,
