@@ -1,4 +1,4 @@
-"""Randomized trial campaigns, the rank-based quality metric, runtime sweeps."""
+"""Randomized trial campaigns and the rank-based quality metric."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .graphs import random_connected_graph
 from .instances import DEFAULT_GAMMA, DEFAULT_P_REF, random_instance
 
 COST_TIE_TOL = 1e-9
-_SWEEP_P_REF_PER_AGENT = 15.0  # the timing and sweep instances' target grows with n
 
 # Neural method name -> (flow, annealed): every flow, and with "-da" its annealed run.
 NN_METHODS = {
@@ -151,26 +150,6 @@ def q_metric(records):
     return {m: totals[m] / norm for m in methods}
 
 
-def runtime_sweep(n_grid, methods, per_n_trials=3, seed=0, solver=None):
-    """Median wall time of each method's error-free solves per size, from one
-    campaign per size; brute force skips sizes above its cap."""
-    solver = solver or replace(CampaignConfig().solver, t_max=20.0)
-    rows = []
-    for n in n_grid:
-        sized = tuple(m for m in methods if m != "brute" or n <= baselines.BRUTE_FORCE_CAP)
-        if not sized:
-            continue
-        config = CampaignConfig(n=n, trials=per_n_trials, seed=[seed, n], methods=sized,
-                                p_ref=_SWEEP_P_REF_PER_AGENT * n, solver=solver)
-        records = run_campaign(config)
-        for method in sized:
-            times = [r.wall_time for r in records if r.method == method and not r.error]
-            if times:
-                rows.append({"n": n, "method": method,
-                             "median_seconds": float(np.median(times)), "trials": len(times)})
-    return rows
-
-
 def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
@@ -189,11 +168,6 @@ def write_campaign_csv(records, path):
 
 def write_q_csv(scores, path):
     _write_csv(path, ["method", "Q"], scores.items())
-
-
-def write_sweep_csv(rows, path):
-    header = ["n", "method", "median_seconds", "trials"]
-    _write_csv(path, header, ([row[name] for name in header] for row in rows))
 
 
 def write_trajectory_csv(result, path):

@@ -1,4 +1,4 @@
-"""Command-line interface: instance generation, solves, campaigns, sweeps."""
+"""Command-line interface: instance generation, solves and campaigns."""
 
 from __future__ import annotations
 
@@ -21,10 +21,6 @@ _OMIT = argparse.SUPPRESS  # a flag not given stays out of args: the library def
 def _pair(text):
     lo, hi = (float(v) for v in text.split(","))
     return lo, hi
-
-
-def _int_list(text):
-    return [int(v) for v in text.split(",")]
 
 
 def _given(args, *names):
@@ -115,16 +111,6 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_sweep(args):
-    rows = bench.runtime_sweep(args.grid, args.methods, **_given(args, "per_n_trials", "seed"))
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "scaling.csv")
-    bench.write_sweep_csv(rows, path)
-    for row in rows:
-        print(f"n={row['n']} {row['method']}: {row['median_seconds']:.6g}s")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="binalloc",
@@ -164,14 +150,6 @@ def build_parser():
     cb.add_argument("--out-dir", default=".")
     cb.set_defaults(func=_cmd_bench)
 
-    sw = subs.add_parser("sweep", help="measure runtime scaling over problem sizes")
-    sw.add_argument("--grid", type=_int_list, required=True)
-    sw.add_argument("--methods", required=True)
-    sw.add_argument("--per-n-trials", type=int, default=_OMIT)
-    sw.add_argument("--seed", type=int, default=_OMIT)
-    sw.add_argument("--out-dir", default=".")
-    sw.set_defaults(func=_cmd_sweep)
-
     return parser
 
 
@@ -190,11 +168,9 @@ def main(argv=None):
             args.methods += ("brute",)
         if len(set(args.methods)) < 2:
             parser.error("a campaign ranks methods against each other: give at least two")
-    if args.command == "sweep":
-        args.methods = tuple(args.methods.split(","))
-    unknown = [m for m in getattr(args, "methods", ()) if m not in CAMPAIGN_METHODS]
-    if unknown:
-        parser.error(f"unknown method {unknown[0]!r}; choose from {', '.join(CAMPAIGN_METHODS)}")
+        unknown = [m for m in args.methods if m not in CAMPAIGN_METHODS]
+        if unknown:
+            parser.error(f"unknown method {unknown[0]!r}; choose from {', '.join(CAMPAIGN_METHODS)}")
     try:
         return args.func(args)
     except (BinallocError, OSError, ValueError) as exc:

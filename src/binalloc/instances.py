@@ -194,6 +194,10 @@ def save_instance(instance, path, graph=None):
         fh.write("\n")
 
 
+def _holds_bool(value):  # JSON true is not a number, though Python's True is an int
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def from_json_dict(doc):
     """Build (instance, graph-or-None) from the on-disk schema.
 
@@ -203,8 +207,9 @@ def from_json_dict(doc):
     if not (isinstance(doc, dict) and "n" in doc and "p" in doc):
         raise ShapeError("an instance is a JSON object with at least the keys 'n' and 'p'")
     gamma, p_ref = doc.get("gamma", DEFAULT_GAMMA), doc.get("p_ref", DEFAULT_P_REF)
-    if any(isinstance(v, bool) for v in (doc["n"], gamma, p_ref)):  # JSON true is not a number
-        raise ShapeError("n, gamma and p_ref must be numbers, not booleans")
+    flagged = [k for k in ("n", "p", "a", "b", "c", "d", "gamma", "p_ref", "edges") if _holds_bool(doc.get(k))]
+    if flagged:  # before _vec and Graph read a boolean as 0 or 1
+        raise ShapeError(f"{flagged[0]} must hold numbers, not booleans")
     try:  # an integer: not 2.7, nor "2"
         n = operator.index(doc["n"])
     except TypeError:

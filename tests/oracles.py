@@ -58,7 +58,7 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing the
     integrator's step directly (``run`` ends a round once its state freezes)."""
     flow, _ = bench.NN_METHODS[method]
-    instance = random_instance(n, seed, p_ref=bench._SWEEP_P_REF_PER_AGENT * n)
+    instance = random_instance(n, seed, p_ref=15.0 * n)  # a target of 15 per agent grows with n
     graph = random_connected_graph(n, seed=seed)
     config = dynamics.SolverConfig(step=1e-3)
     mode = "distributed" if flow == "binnn-d" else "centralized"

@@ -11,11 +11,9 @@ from binalloc.bench import (
     TrialRecord,
     q_metric,
     run_campaign,
-    runtime_sweep,
     solve_with_method,
     write_campaign_csv,
     write_q_csv,
-    write_sweep_csv,
 )
 from binalloc.cli import build_parser
 from binalloc.errors import IncompleteCampaignError
@@ -198,8 +196,7 @@ def test_annealed_methods_need_a_schedule():
 
 @pytest.mark.parametrize("start", [
     lambda: run_campaign(CampaignConfig(n=6, trials=2, methods=("greedy", "nope"))),
-    lambda: runtime_sweep([6], ("greedy", "nope"), per_n_trials=2),
-], ids=["campaign", "sweep"])
+], ids=["campaign"])
 def test_an_unknown_method_is_refused_before_any_solve(monkeypatch, start):
     # refused as the config is built, as an annealed method without a schedule is
     solved = []
@@ -251,35 +248,13 @@ def test_median_step_time_computes_every_step_it_counts(rate_calls):
     assert rate_calls[0] == 100
 
 
-def test_runtime_sweep_shapes():
-    assert runtime_sweep([], ("greedy",)) == []
-    rows = runtime_sweep([6, 8], ("greedy", "brute"), per_n_trials=2, seed=1,
-                         solver=FAST_SOLVER)
-    assert len(rows) == 4
-    for row in rows:
-        assert row["median_seconds"] >= 0.0
-        assert row["trials"] == 2
-
-
-def test_runtime_sweep_times_the_campaign_and_drops_failures():
+def test_campaign_records_a_diverged_flow_as_a_numeric_failure():
     # so large an auxiliary gain makes the distributed flow diverge
     solver = replace(FAST_SOLVER, alpha=1e3)
     with np.errstate(all="ignore"):
-        rows = runtime_sweep([8], ("binnn-d", "greedy"), per_n_trials=3, seed=4, solver=solver)
         records = run_campaign(CampaignConfig(n=8, trials=3, seed=[4, 8], p_ref=120.0,
                                               methods=("binnn-d", "greedy"), solver=solver))
     assert [r.error for r in records if r.method == "binnn-d"] == ["NumericFailureError"] * 3
-    assert [(r["n"], r["method"], r["trials"]) for r in rows] == [(8, "greedy", 3)]
-
-
-def test_runtime_sweep_skips_big_brute():
-    rows = runtime_sweep([30], ("greedy", "brute"), per_n_trials=1, seed=2,
-                         solver=FAST_SOLVER)
-    assert [r["method"] for r in rows] == ["greedy"]
-
-
-def test_runtime_sweep_skips_a_size_that_no_method_runs():
-    assert runtime_sweep([30], ("brute",), per_n_trials=1, solver=FAST_SOLVER) == []
 
 
 def test_csv_writers(tmp_path):
@@ -296,11 +271,6 @@ def test_csv_writers(tmp_path):
     )
     write_q_csv(q_metric(recs), path)
     assert path.read_bytes() == b"method,Q\r\na,1\r\nb,0\r\n"
-    write_sweep_csv([{"n": 6, "method": "greedy", "median_seconds": 0.25, "trials": 3},
-                     {"n": 8, "method": "brute", "median_seconds": 1.0 / 3.0, "trials": 1}], path)
-    assert path.read_bytes() == (
-        b"n,method,median_seconds,trials\r\n6,greedy,0.25,3\r\n8,brute,0.333333333333,1\r\n"
-    )
 
 
 def test_campaign_csv_floats_have_12_significant_digits(tmp_path):

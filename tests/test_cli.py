@@ -231,7 +231,8 @@ def test_a_file_that_is_not_an_instance_is_runtime_error(tmp_path, capsys, doc):
     {"n": 1, "p": [1.0], "a": {"x": 1}, "b": [1.0]},
     {"n": 1, "p": [1.0], "c": [1.0], "d": {"x": 1}},
     {"n": True, "p": [3.0], "c": [1.0]},
-], ids=["dict-a", "dict-d", "true-n"])
+    {"n": 2, "p": [1, 2], "a": [True, -3], "b": [0.5, 0.5], "gamma": 1, "p_ref": 2},
+], ids=["dict-a", "dict-d", "true-n", "true-in-a"])
 def test_a_value_that_is_not_a_number_is_runtime_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -323,9 +324,8 @@ def test_bench_of_one_method_is_usage_error(tmp_path, methods):
     assert not out_dir.exists()  # rejected before anything ran
 
 
-@pytest.mark.parametrize("argv", [["bench", "--n", "6", "--trials", "1", "--methods", "foo,greedy"],
-                                  ["sweep", "--grid", "6", "--methods", "greedy,nope"]],
-                         ids=["bench", "sweep"])
+@pytest.mark.parametrize("argv", [["bench", "--n", "6", "--trials", "1", "--methods", "foo,greedy"]],
+                         ids=["bench"])
 def test_unknown_method_is_usage_error(tmp_path, capsys, argv):
     out_dir = tmp_path / "reports"
     with pytest.raises(SystemExit) as exc:
@@ -479,17 +479,14 @@ def test_a_distributed_flow_on_an_edgeless_file_is_a_runtime_error(tmp_path, mon
     assert drawn == []
 
 
-def test_sweep_writes_scaling_csv(tmp_path, capsys):
-    out_dir = str(tmp_path / "sweep")
-    code = run_cli([
-        "sweep", "--grid", "5,7", "--methods", "greedy,brute",
-        "--per-n-trials", "1", "--seed", "0", "--out-dir", out_dir,
-    ])
-    assert code == 0
-    path = os.path.join(out_dir, "scaling.csv")
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()
-    assert len(lines) == 5  # header + 2 sizes x 2 methods
+def test_sweep_is_an_unknown_command(tmp_path, capsys):
+    # a campaign's csv keeps each solve's wall time; no second timing command
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--grid", "6", "--methods", "greedy,binnn-c", "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_solve_output_cost_revalidates(two_agent_file, capsys, two_agent):

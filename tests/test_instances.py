@@ -282,6 +282,20 @@ def test_json_refuses_a_boolean_for_a_number(key, value):
         from_json_dict({"n": 1, "p": [3.0], "c": [1.0], key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p", [True, 2]), ("a", [True, -3]), ("b", [0.5, False]), ("c", [True, 4]), ("d", [0, False]),
+    ("edges", [[False, True]]),
+], ids=["p", "a", "b", "c", "d", "edges"])
+def test_json_refuses_a_boolean_inside_an_array(key, value):
+    # numpy and Graph would read it as 0 or 1, and a solve would run on those numbers
+    doc = {"n": 2, "p": [1, 2], "c": [1, 4], "edges": [[0, 1]]}
+    if key in ("a", "b"):
+        doc.update(a=[-3, -3], b=[0.5, 0.5])
+    from_json_dict(doc)
+    with pytest.raises(ShapeError, match=f"^{key} must hold numbers, not booleans$"):
+        from_json_dict({**doc, key: value})
+
+
 def test_json_rejects_disconnected_edges():
     doc = {
         "n": 3,
