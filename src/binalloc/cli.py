@@ -160,8 +160,10 @@ def main(argv=None):
         parser.error("--n must be >= 1")
     if "extra_edge_fraction" in args and args.topology != "random":
         parser.error("only --topology random reads --extra-edges")
-    if args.command == "solve" and args.method == "round" and not args.frac_point:
-        parser.error("--method round requires --frac-point")
+    if args.command == "solve" and (args.method == "round") != bool(args.frac_point):
+        parser.error("--frac-point goes with --method round, and only with it")
+    if args.command == "solve" and args.traj_out and args.method not in bench.NN_METHODS:
+        parser.error(f"--traj-out needs a flow method: {', '.join(bench.NN_METHODS)}")
     if args.command == "bench":  # resolved before anything runs: Q needs two methods
         args.methods = tuple(args.methods.split(",")) if args.methods else bench.DEFAULT_METHODS
         if args.with_brute and "brute" not in args.methods:

@@ -9,7 +9,6 @@ together with per-agent outputs, a penalty weight and a target total output.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +22,14 @@ DEFAULT_GAMMA = 1.0
 
 
 def _vec(values, n=None, name="vector"):
-    try:
-        arr = np.atleast_1d(np.asarray(values, dtype=float))
-    except TypeError:  # a JSON object where numbers belong
-        raise ShapeError(f"{name} must hold only numbers") from None
+    arr = np.atleast_1d(np.asarray(values))
+    if arr.dtype.kind not in "biuf":  # text, null, a JSON object or an integer past 64 bits
+        raise ShapeError(f"{name} must hold only numbers")
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ShapeError(f"{name} has length {arr.shape[0]}, expected {n}")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -210,10 +208,9 @@ def from_json_dict(doc):
     flagged = [k for k in ("n", "p", "a", "b", "c", "d", "gamma", "p_ref", "edges") if _holds_bool(doc.get(k))]
     if flagged:  # before _vec and Graph read a boolean as 0 or 1
         raise ShapeError(f"{flagged[0]} must hold numbers, not booleans")
-    try:  # an integer: not 2.7, nor "2"
-        n = operator.index(doc["n"])
-    except TypeError:
-        raise ShapeError(f"n must be an integer, got {doc['n']!r}") from None
+    n = doc["n"]
+    if not isinstance(n, int):  # an integer: not 2.7, nor "2"
+        raise ShapeError(f"n must be an integer, got {n!r}")
     p = _vec(doc["p"], n, "p")
     if not all(isinstance(v, (int, float)) for v in (gamma, p_ref)):  # a number: not "2", nor null
         raise ShapeError(f"gamma and p_ref must be numbers, got {gamma!r} and {p_ref!r}")

@@ -201,6 +201,25 @@ def test_solve_takes_no_graph_flag(tmp_path, monkeypatch, capsys, method, flags)
     assert read == []
 
 
+@pytest.mark.parametrize("method, flags", [
+    ("greedy", ["--traj-out", "{dir}/t.csv"]),
+    ("round", ["--frac-point", "{dir}/f.csv", "--traj-out", "{dir}/t.csv"]),
+    ("hnn", ["--frac-point", "{dir}/f.csv"]),
+], ids=["greedy-traj-out", "round-traj-out", "hnn-frac-point"])
+def test_solve_refuses_a_flag_its_method_would_ignore(tmp_path, monkeypatch, method, flags):
+    # only a flow has a trajectory, and only round reads a fractional point: refused
+    # before the file is read, and no trajectory file is written
+    import binalloc.cli as cli
+
+    read = []
+    monkeypatch.setattr(cli, "load_instance", lambda path: read.append(path))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", str(tmp_path / "inst.json"), "--method", method,
+                 *(flag.format(dir=tmp_path) for flag in flags)])
+    assert exc.value.code == 2
+    assert read == [] and not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("gamma", float("nan")), ("p_ref", float("inf")), ("p", [3.0, float("nan")]), ("d", [float("inf"), 0.0]),
 ])
@@ -232,7 +251,8 @@ def test_a_file_that_is_not_an_instance_is_runtime_error(tmp_path, capsys, doc):
     {"n": 1, "p": [1.0], "c": [1.0], "d": {"x": 1}},
     {"n": True, "p": [3.0], "c": [1.0]},
     {"n": 2, "p": [1, 2], "a": [True, -3], "b": [0.5, 0.5], "gamma": 1, "p_ref": 2},
-], ids=["dict-a", "dict-d", "true-n", "true-in-a"])
+    {"n": 2, "p": ["3", "1"], "c": [2, 1]},
+], ids=["dict-a", "dict-d", "true-n", "true-in-a", "text-in-p"])
 def test_a_value_that_is_not_a_number_is_runtime_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

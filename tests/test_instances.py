@@ -269,10 +269,29 @@ def test_json_size_is_an_integer():
     {"n": 1, "p": [1.0], "c": [1.0], "d": {"x": 1}},
     {"n": 1, "p": {"x": 1}, "c": [1.0]},
     {"n": 1, "p": [1.0], "c": [{"x": 1}]},
-], ids=["a", "d", "p", "c-item"])
+    {"n": 2, "p": ["3", "1e0"], "c": [2, 1]},
+    {"n": 2, "p": [3, 1], "a": ["-10", -10], "b": [0.7, 0.6]},
+    {"n": 2, "p": [3, 1], "a": [-10, -10], "b": [0.7, "0.6"]},
+    {"n": 2, "p": [3, 1], "c": [2, "1"]},
+    {"n": 2, "p": [3, 1], "c": [2, 1], "d": ["0", 0]},
+    {"n": 2, "p": [3, 1], "c": [2, None]},
+    {"n": 1, "p": [100000000000000000000000], "c": [1]},
+], ids=["a", "d", "p", "c-item", "p-text", "a-text", "b-text", "c-text", "d-text", "c-null", "p-past-64-bits"])
 def test_json_refuses_an_object_where_numbers_belong(doc):
     with pytest.raises(ShapeError, match="must hold only numbers"):
         from_json_dict(doc)
+
+
+def test_instance_refuses_text_for_a_number():
+    # numpy would parse "-10" as a float; an instance holds numbers only
+    with pytest.raises(ShapeError, match="^quad must hold only numbers$"):
+        Instance(quad=["-10"], center=[0.5], passive=[0.0], output=[1.0], penalty=1.0, target=0.0)
+
+
+def test_json_null_edges_mean_no_graph():
+    # the one null the schema allows: the same as leaving the key out
+    inst, graph = from_json_dict({"n": 2, "p": [3, 1], "c": [2, 1], "edges": None})
+    assert graph is None and inst.n == 2
 
 
 @pytest.mark.parametrize("key, value", [("n", True), ("gamma", True), ("p_ref", False)])
