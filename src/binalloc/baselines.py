@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -15,23 +16,23 @@ _CHUNK_BITS = 12  # score corners in chunks of 2^12, so time scales with 2^n
 
 @dataclass(frozen=True)
 class SetSolution:
-    """A feasible binary solution as the set of agents switched on."""
+    """A feasible binary solution: the agents switched on, its bits, its cost, and
+    ``iterations``, the sets its solver walked (the empty set and each set greedy or
+    rounding grew to; all 2^n for brute force). A set solver always stops: converged."""
 
     chosen: tuple
+    bits: np.ndarray = field(compare=False)  # chosen, spelled out: equality and hash skip it
     cost: float
-
-    def bits(self, n):
-        x = np.zeros(n, dtype=int)
-        x[list(self.chosen)] = 1
-        return x
+    iterations: int
+    converged: ClassVar[bool] = True
 
 
-def _exact(instance, chosen):
+def _exact(instance, chosen, iterations):
     """Freeze a chosen set with its cost recomputed under the instance evaluator."""
     chosen = tuple(sorted(int(i) for i in chosen))
-    x = np.zeros(instance.n)
-    x[list(chosen)] = 1.0
-    return SetSolution(chosen=chosen, cost=eval_p1(instance, x))
+    bits = np.zeros(instance.n, dtype=int)
+    bits[list(chosen)] = 1
+    return SetSolution(chosen, bits, eval_p1(instance, bits), iterations)
 
 
 def _set_cost(instance, base, total_output, incr_sum):
@@ -52,7 +53,7 @@ def _switch_on(instance, next_agent):
             break
         chosen.append(i)
         total, incr, cost = total_new, incr_new, cost_new
-    return _exact(instance, chosen)
+    return _exact(instance, chosen, len(chosen) + 1)
 
 
 def greedy(instance):
@@ -113,7 +114,7 @@ def brute_force(instance):
             best_cost = float(costs[k])
             best_code = (prefix << (n - split)) + k
     chosen = tuple(i for i in range(n) if (best_code >> (n - 1 - i)) & 1)
-    return _exact(instance, chosen)
+    return _exact(instance, chosen, 1 << n)
 
 
 # Name -> solver for the CLI and campaigns. The lambdas look the function up

@@ -55,13 +55,16 @@ class CampaignConfig:
         unknown = sorted(set(self.methods) - NN_METHODS.keys() - baselines.SOLVERS.keys())
         if not self.methods or unknown:  # refused before any solve runs
             raise ValueError(f"unknown method {unknown[0]!r}" if unknown else "methods must be non-empty")
+        if len(set(self.methods)) < len(self.methods):  # a trial keeps one record per method
+            raise ValueError(f"a method is listed twice in {','.join(self.methods)}")
         if self.solver.anneal is None and any(m.endswith("-da") for m in self.methods):
             raise ValueError("annealed methods require solver.anneal to be set")
 
 
 def solve_with_method(method, instance, graph, solver):
     """Solve by one named method, seeded by ``solver.seed``. A flow, or with
-    "-da" its anneal, returns its RunResult; a baseline its SetSolution."""
+    "-da" its anneal, returns its RunResult; a baseline its SetSolution. Either
+    carries ``bits``, ``cost``, ``iterations`` and ``converged``."""
     if method in baselines.SOLVERS:
         return baselines.SOLVERS[method](instance)
     if method not in NN_METHODS:
@@ -80,11 +83,7 @@ def _run_trial(config, trial, tss):
         start = time.perf_counter()
         try:
             result = solve_with_method(method, instance, graph, replace(config.solver, seed=parts[2 + k]))
-            if isinstance(result, dynamics.RunResult):
-                iterations, converged = result.iterations, result.converged
-            else:  # a baseline: greedy's additions plus one, or every subset
-                iterations, converged = (1 << instance.n if method == "brute" else len(result.chosen) + 1), True
-            cost, error = result.cost, ""
+            cost, iterations, converged, error = result.cost, result.iterations, result.converged, ""
         except BinallocError as exc:
             cost, converged, error = float("inf"), False, type(exc).__name__
             iterations = getattr(exc, "iterations", 0)  # how far a diverged flow got
@@ -100,6 +99,8 @@ def run_campaign(config, jobs=1):
     and the exception's class name; the campaign continues. Reproducible for
     a seed (wall times excepted); parallel trials merge in trial order.
     """
+    if not dynamics._count(jobs, 1):  # refused before any trial runs
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs}")
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     args = ([config] * config.trials, range(config.trials), trial_seeds)
     if jobs > 1:

@@ -75,11 +75,10 @@ def _cmd_solve(args):
         result = baselines.round_relaxed(np.loadtxt(args.frac_point, delimiter=",").ravel(), instance)
     else:
         result = bench.solve_with_method(method, instance, graph, cfg)
-    flow_run = isinstance(result, dynamics.RunResult)
     print(f"method: {method}")
-    print(f"bits: {''.join(map(str, result.bits if flow_run else result.bits(instance.n)))}")
+    print(f"bits: {''.join(map(str, result.bits))}")
     print(f"cost: {result.cost:.12g}")
-    if not flow_run:  # a baseline or a rounding has no trajectory to diagnose
+    if method not in bench.NN_METHODS:  # a baseline or a rounding has no trajectory to diagnose
         return 0
     diag = dynamics.terminal_diagnostics(result, instance, graph=graph, tol_x=cfg.tol_x)
     print(f"iterations: {result.iterations}")

@@ -120,24 +120,19 @@ class Diagnostics:
     local_min_certified: bool
 
 
-def init_state(n, eps_init=SolverConfig.eps_init, seed=None, mode="centralized"):
-    """Uniform start in the ball of radius eps_init around the cube center.
-
-    Samples the ball directly (unit direction times a radius with the
-    correct density); the distributed mode starts the auxiliary variable at
-    zero so its conserved sum is zero.
+def init_state(n, eps_init=SolverConfig.eps_init, seed=None):
+    """Uniform start in the ball of radius eps_init around the cube center, with no
+    auxiliary variable. Samples the ball directly (unit direction times a radius with
+    the correct density).
     """
     if not 0 < eps_init < 0.5:
         raise ValueError("eps_init must be in (0, 0.5)")
-    if mode not in ("centralized", "distributed"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=n)
     direction /= np.linalg.norm(direction)
     radius = eps_init * rng.random() ** (1.0 / n)
     x = 0.5 + radius * direction
-    y = np.zeros(n) if mode == "distributed" else None
-    return FlowState(x=x, y=y, t=0.0)
+    return FlowState(x=x, y=None, t=0.0)
 
 
 def flow_rates(flow, instance, graph, thermo, alpha, ctx=None):
@@ -199,8 +194,9 @@ def _prepare(flow, instance, graph, config):
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_seed, jitter_seed = ss.spawn(2)
-    mode = "distributed" if flow == "binnn-d" else "centralized"
-    state = init_state(instance.n, config.eps_init, seed=init_seed, mode=mode)
+    state = init_state(instance.n, config.eps_init, seed=init_seed)
+    if flow == "binnn-d":  # y starts at zero, so its conserved sum is zero
+        state = replace(state, y=np.zeros(instance.n))
     rng, knobs = np.random.default_rng(jitter_seed), config.thermo
     thermo = replace(knobs, temp=knobs.temp * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),
                      time_const=knobs.time_const * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER))

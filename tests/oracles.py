@@ -61,13 +61,13 @@ def median_step_time(method, n, steps=50, seed=0, repeats=3):
     instance = random_instance(n, seed, p_ref=15.0 * n)  # a target of 15 per agent grows with n
     graph = random_connected_graph(n, seed=seed)
     config = dynamics.SolverConfig(step=1e-3)
-    mode = "distributed" if flow == "binnn-d" else "centralized"
     times = []
     for _ in range(repeats):
-        state = dynamics.init_state(n, seed=seed, mode=mode)
+        x = dynamics.init_state(n, seed=seed).x
+        y = np.zeros(n) if flow == "binnn-d" else None  # binnn-d's y starts at zero
         start = time.perf_counter()
         rates = dynamics.flow_rates(flow, instance, graph, config.thermo, alpha=1.0)
         for _ in range(steps):
-            dynamics._step(rates, state.x, state.y, config)
+            dynamics._step(rates, x, y, config)
         times.append((time.perf_counter() - start) / steps)
     return float(np.median(times))

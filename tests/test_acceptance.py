@@ -88,7 +88,7 @@ def test_criterion_1_two_agent_reproduction():
     """Both annealed flows recover the known 2-D optimum from random starts."""
     start = time.perf_counter()
     confirm = brute_force(TWO_AGENT)
-    ok = confirm.bits(2).tolist() == [1, 0] and abs(confirm.cost - 2.08) < 1e-12
+    ok = confirm.bits.tolist() == [1, 0] and abs(confirm.cost - 2.08) < 1e-12
     cfg = SolverConfig(
         thermo=THERMO,
         step=0.05,

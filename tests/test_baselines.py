@@ -22,7 +22,7 @@ def test_greedy_two_agent(two_agent):
     sol = greedy(two_agent)
     assert sol.chosen == (0,)
     assert sol.cost == pytest.approx(2.08, abs=1e-12)
-    assert sol.bits(2).tolist() == [1, 0]
+    assert sol.bits.tolist() == [1, 0]
 
 
 def test_greedy_empty_when_everything_costs():
@@ -36,10 +36,10 @@ def test_greedy_empty_when_everything_costs():
 
 def test_an_empty_set_has_every_bit_off():
     # greedy and rounding both stop before the first agent when it raises the cost
-    assert baselines.SetSolution(chosen=(), cost=0.0).bits(3).tolist() == [0, 0, 0]
-    sol = round_relaxed([0.9, 0.1], Instance(quad=[-2.0, -2.0], center=[1.0, 1.5], passive=[0.5, 0.5],
-                                             output=[1.0, 1.0], penalty=1.0, target=0.0))
-    assert sol.chosen == () and sol.cost == 1.0
+    inst = Instance(quad=[-2.0, -2.0], center=[1.0, 1.5], passive=[0.5, 0.5],
+                    output=[1.0, 1.0], penalty=1.0, target=0.0)
+    for sol in (greedy(inst), round_relaxed([0.9, 0.1], inst)):
+        assert sol.chosen == () and sol.bits.tolist() == [0, 0] and sol.cost == 1.0
 
 
 def test_greedy_never_beats_brute():
@@ -150,7 +150,7 @@ def test_stored_costs_reevaluate_exactly():
         inst = random_instance(8, 40 + seed, p_ref=120.0)
         for sol in (greedy(inst), brute_force(inst),
                     round_relaxed(np.full(8, 0.6), inst)):
-            assert sol.cost == eval_p1(inst, sol.bits(8).astype(float))
+            assert sol.cost == eval_p1(inst, sol.bits.astype(float))
 
 
 def test_brute_dominates_all_methods():

@@ -18,7 +18,7 @@ from binalloc.bench import (
 from binalloc.cli import build_parser
 from binalloc.errors import IncompleteCampaignError
 from binalloc.graphs import random_connected_graph
-from binalloc.instances import random_instance
+from binalloc.instances import eval_p1, random_instance
 from oracles import median_step_time
 
 FAST_SOLVER = SolverConfig(
@@ -204,6 +204,42 @@ def test_an_unknown_method_is_refused_before_any_solve(monkeypatch, start):
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         start()
     assert solved == []
+
+
+def test_a_method_listed_twice_is_refused_before_any_solve(monkeypatch):
+    # a trial keeps one record per method: Q would silently keep the last of two
+    solved = []
+    monkeypatch.setattr(bench, "solve_with_method", lambda method, *args: solved.append(method))
+    with pytest.raises(ValueError, match="listed twice"):
+        run_campaign(CampaignConfig(n=4, trials=2, methods=("greedy", "brute", "greedy")))
+    assert solved == []
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_campaign_refuses_jobs_below_one_before_any_solve(monkeypatch, jobs):
+    solved = []
+    monkeypatch.setattr(bench, "solve_with_method", lambda method, *args: solved.append(method))
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_campaign(CampaignConfig(n=4, trials=2, methods=("greedy", "brute")), jobs=jobs)
+    assert solved == []
+
+
+@pytest.mark.parametrize("method", ["greedy", "brute", "round", "hnn"])
+def test_every_solver_returns_its_bits_cost_and_work(method):
+    # one shape for what a solve returns: the campaign and the CLI read any result alike
+    inst = random_instance(6, 3, p_ref=60.0)
+    if method == "round":
+        result = baselines.round_relaxed(np.linspace(0.9, 0.1, 6), inst)
+    else:
+        result = solve_with_method(method, inst, None, replace(FAST_SOLVER, seed=0))
+    assert result.bits.dtype.kind == "i" and result.bits.shape == (6,)
+    assert result.cost == eval_p1(inst, result.bits)
+    if method == "hnn":
+        return
+    assert 0 < len(result.chosen) < 6  # a set that is neither empty nor full
+    assert result.bits.tolist() == [int(i in result.chosen) for i in range(6)]
+    assert result.iterations == (1 << 6 if method == "brute" else len(result.chosen) + 1)
+    assert result.converged is True and "converged" not in {f.name for f in fields(result)}
 
 
 def test_solve_with_method_unknown():

@@ -344,6 +344,18 @@ def test_bench_of_one_method_is_usage_error(tmp_path, methods):
     assert not out_dir.exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("methods,jobs", [("greedy,brute", "0"), ("greedy,brute", "-3"),
+                                          ("greedy,brute,greedy", "1")], ids=["jobs0", "jobs-3", "twice"])
+def test_bench_refusal_is_runtime_error(tmp_path, capsys, methods, jobs):
+    # parsed, then refused by the campaign before any trial runs: exit 1, one error line
+    out_dir = tmp_path / "reports"
+    code = run_cli(["bench", "--n", "4", "--trials", "2", "--methods", methods, "--jobs", jobs,
+                    "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [["bench", "--n", "6", "--trials", "1", "--methods", "foo,greedy"]],
                          ids=["bench"])
 def test_unknown_method_is_usage_error(tmp_path, capsys, argv):

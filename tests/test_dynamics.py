@@ -70,15 +70,8 @@ def test_init_state_ball_and_determinism():
     assert s.y is None
     again = init_state(20, eps_init=0.05, seed=42)
     assert np.array_equal(s.x, again.x)
-    d = init_state(5, seed=0, mode="distributed")
-    assert d.y is not None and d.y.sum() == 0.0
     with pytest.raises(ValueError):
         init_state(3, eps_init=0.7)
-
-
-def test_init_state_refuses_an_unknown_mode():
-    with pytest.raises(ValueError, match="unknown mode 'distribute'"):
-        init_state(3, mode="distribute")
 
 
 def test_binnn_c_equilibrium_fixed_point():
