@@ -43,11 +43,8 @@ class CampaignConfig:
     methods: tuple = DEFAULT_METHODS
     p_ref: float = DEFAULT_P_REF
     gamma: float = DEFAULT_GAMMA
-    solver: dynamics.SolverConfig = field(
-        default_factory=lambda: dynamics.SolverConfig(
-            step=0.02, t_max=60.0, sample_stride=0, anneal=dynamics.AnnealSchedule(t_d=2.0)
-        )
-    )
+    solver: dynamics.SolverConfig = field(default_factory=lambda: dynamics.SolverConfig(
+        step=0.02, t_max=60.0, sample_stride=0, anneal=dynamics.AnnealSchedule(t_d=2.0)))
 
     def __post_init__(self):
         if not (dynamics._count(self.n, 1) and dynamics._count(self.trials, 1)):
@@ -57,8 +54,6 @@ class CampaignConfig:
             raise ValueError(f"unknown method {unknown[0]!r}" if unknown else "methods must be non-empty")
         if len(set(self.methods)) < len(self.methods):  # a trial keeps one record per method
             raise ValueError(f"a method is listed twice in {','.join(self.methods)}")
-        if self.solver.anneal is None and any(m.endswith("-da") for m in self.methods):
-            raise ValueError("annealed methods require solver.anneal to be set")
 
 
 def solve_with_method(method, instance, graph, solver):
@@ -77,7 +72,9 @@ def solve_with_method(method, instance, graph, solver):
 def _run_trial(config, trial, tss):
     parts = tss.spawn(2 + len(config.methods))
     instance = random_instance(config.n, parts[0], p_ref=config.p_ref, gamma=config.gamma)
-    graph = random_connected_graph(config.n, seed=parts[1])
+    # only binnn-d reads a graph, and building one takes seconds at n=2000
+    distributed = any(NN_METHODS[m][0] == "binnn-d" for m in config.methods if m in NN_METHODS)
+    graph = random_connected_graph(config.n, seed=parts[1]) if distributed else None
     records = []
     for k, method in enumerate(config.methods):
         start = time.perf_counter()

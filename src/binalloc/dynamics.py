@@ -82,17 +82,21 @@ class SolverConfig:
     tol_x: float = 1e-6
     tol_y: float = 1e-6
     t_max: float = 1000.0
-    anneal: AnnealSchedule | None = None
+    anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     seed: int | None = None
     sample_stride: int = 10  # trajectory sample every this many steps; 0 disables
 
     def __post_init__(self):
+        # None reads as the default schedule: perfbench's warm_up passes it
+        object.__setattr__(self, "anneal", self.anneal or AnnealSchedule())
         if not all(0 < v < math.inf for v in (self.step, self.alpha, self.tol_x, self.tol_y)):
             raise ValueError("step, alpha and the tolerances must be finite and > 0")
         if not 0 <= self.t_max < math.inf or not _count(self.sample_stride, 0):
             raise ValueError("t_max must be finite and >= 0, and sample_stride an integer >= 0")
         if not (0 < self.eps_init < 0.5 and 0 <= self.eps_clip < 0.5):
             raise ValueError("eps_init must be in (0, 0.5) and eps_clip in [0, 0.5)")
+        if not all(math.isfinite(t / self.step) for t in (self.t_max, self.anneal.t_d)):
+            raise ValueError("t_max and anneal.t_d must each be a finite number of steps of step")
 
 
 @dataclass(frozen=True)
@@ -294,14 +298,13 @@ def run(flow, instance, graph=None, config=None):
 def anneal(flow, instance, graph=None, config=None):
     """Run the flow in learning rounds, shrinking the barrier knobs each round.
 
+    The schedule is ``config.anneal`` (``AnnealSchedule()`` unless one is given).
     The state carries over between rounds; each round integrates for the
     schedule's duration (early exit when the flow stalls) at knobs that the
     configured knob has shrunk once per round before it.
     """
     config = config or SolverConfig()
     sched = config.anneal
-    if sched is None:
-        raise ValueError("anneal requires config.anneal to be set")
     return _solve(flow, instance, graph, config, sched.steps, sched.t_d, sched.shrink)
 
 

@@ -184,21 +184,42 @@ def test_campaign_config_refuses_a_count_that_is_not_a_positive_integer(name, va
         CampaignConfig(**{name: value})
 
 
-def test_annealed_methods_need_a_schedule():
-    # dynamics.anneal refuses a config without one, and so does the campaign
-    unscheduled = replace(FAST_SOLVER, anneal=None)
-    with pytest.raises(ValueError, match="anneal"):
-        CampaignConfig(methods=("hnn", "hnn-da"), solver=unscheduled)
-    assert CampaignConfig(methods=("hnn", "greedy"), solver=unscheduled).solver.anneal is None
-    with pytest.raises(ValueError, match="anneal"):
-        solve_with_method("hnn-da", random_instance(4, 0, p_ref=20.0), None, unscheduled)
+def _solutions(records):
+    return [replace(r, wall_time=0.0) for r in records]
+
+
+def test_a_campaign_without_binnn_d_builds_no_graph(monkeypatch):
+    # only binnn-d reads the graph; every seed, instance and record stays as it was
+    config = CampaignConfig(n=8, trials=3, seed=1, methods=("greedy", "hnn-da"), solver=FAST_SOLVER)
+    want = _solutions(run_campaign(config))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a campaign without binnn-d built a graph")
+
+    monkeypatch.setattr(bench, "random_connected_graph", refused)
+    assert _solutions(run_campaign(config)) == want
+
+
+def test_a_campaign_with_binnn_d_builds_one_graph_per_trial(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return random_connected_graph(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "random_connected_graph", counted)
+    config = CampaignConfig(n=6, trials=3, seed=2, methods=("greedy", "hnn", "binnn-d-da"),
+                            solver=FAST_SOLVER)
+    with np.errstate(all="ignore"):  # binnn-d may diverge: the campaign records it
+        run_campaign(config)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("start", [
     lambda: run_campaign(CampaignConfig(n=6, trials=2, methods=("greedy", "nope"))),
 ], ids=["campaign"])
 def test_an_unknown_method_is_refused_before_any_solve(monkeypatch, start):
-    # refused as the config is built, as an annealed method without a schedule is
+    # refused as the config is built
     solved = []
     monkeypatch.setattr(bench, "solve_with_method", lambda method, *args: solved.append(method))
     with pytest.raises(ValueError, match="unknown method 'nope'"):

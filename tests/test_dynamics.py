@@ -7,7 +7,7 @@ import pytest
 
 from binalloc import AnnealSchedule, SolverConfig, Thermo, anneal, dynamics, run
 from binalloc import energy as en
-from binalloc.bench import CampaignConfig, write_trajectory_csv
+from binalloc.bench import CampaignConfig, run_campaign, write_trajectory_csv
 from binalloc.dynamics import (
     FlowState,
     flow_rates,
@@ -440,9 +440,21 @@ def test_anneal_reproduces_two_agent_optimum(two_agent, pair_graph):
     assert result.bits.tolist() == [1, 0]
 
 
-def test_anneal_requires_schedule(two_agent):
-    with pytest.raises(ValueError):
-        anneal("binnn-c", two_agent, config=SolverConfig(thermo=THERMO))
+def test_a_config_without_a_schedule_anneals_with_the_default():
+    # None reads as AnnealSchedule(): every config can anneal, and so can every campaign
+    cfg = SolverConfig(seed=3)
+    assert cfg.anneal == AnnealSchedule() == replace(cfg, anneal=None).anneal
+    inst, graph = small_instance(6, seed=4), named_topology("ring", 6)
+    for flow in dynamics.FLOW_KINDS:
+        got = anneal(flow, inst, graph, cfg)
+        want = anneal(flow, inst, graph, SolverConfig(seed=3, anneal=AnnealSchedule()))
+        assert (got.x_final.tobytes(), got.bits.tobytes(), got.cost, got.iterations) == (
+            want.x_final.tobytes(), want.bits.tobytes(), want.cost, want.iterations), flow
+    campaigns = [CampaignConfig(n=6, trials=1, methods=("hnn-da", "binnn-c-da", "greedy"),
+                                solver=replace(CampaignConfig().solver, anneal=schedule))
+                 for schedule in (None, AnnealSchedule())]
+    got, want = ([(r.cost, r.iterations, r.error) for r in run_campaign(c)] for c in campaigns)
+    assert got == want and len(got) == 3
 
 
 def test_anneal_schedule_validation():
@@ -473,6 +485,8 @@ def test_solver_config_validation():
     (SolverConfig, {"alpha": np.nan}),
     (SolverConfig, {"tol_y": np.inf}),
     (SolverConfig, {"sample_stride": -3}),
+    (SolverConfig, {"t_max": 1e300, "step": 1e-10}),  # ceil() of an infinite step count overflows
+    (SolverConfig, {"anneal": AnnealSchedule(t_d=1e300), "step": 1e-10}),
     (Thermo, {"temp": np.inf}),
     (Thermo, {"floor": np.nan}),
     (AnnealSchedule, {"beta": np.inf}),
@@ -782,15 +796,15 @@ def test_a_trajectory_samples_its_end_state_once(stride):
         assert result.trajectory[-1][1].tobytes() == result.x_final.tobytes()
 
 
-def _step_by_step(flow, instance, graph, config, full_horizon=False):
-    """run()/anneal() as a plain loop of at most ceil(duration/h) steps per round,
+def _step_by_step(flow, instance, graph, config, solve=anneal, full_horizon=False):
+    """``solve``, run() or anneal(), as a plain loop of at most ceil(duration/h) steps per round,
     with the knobs shrunk between rounds, the end state sampled once and a
     non-finite sampled energy failing the solve. A round ends after a step that
     left (x, y) unchanged, if that step is one of ``dynamics._FREEZE_CHECK``'s
     schedule: 1, 2, 4, 8, then every 16th. With ``full_horizon`` every round
     takes all its steps instead, and no freeze ends it."""
     state, thermo = dynamics._prepare(flow, instance, graph, config)
-    stride, sched = config.sample_stride, config.anneal
+    stride, sched = config.sample_stride, config.anneal if solve is anneal else None
     samples, round_ends, iterations = [], [], 0
 
     def sample(s, done):
@@ -839,10 +853,10 @@ def _bytes(v):
     return None if v is None else v.tobytes()
 
 
-def _assert_same_as_step_by_step(flow, instance, graph, config):
-    result = (anneal if config.anneal else run)(flow, instance, graph, config)
+def _assert_same_as_step_by_step(flow, instance, graph, config, solve=anneal):
+    result = solve(flow, instance, graph, config)
     state, iterations, samples, round_ends, thermo = _step_by_step(
-        flow, instance, graph, config)
+        flow, instance, graph, config, solve)
     assert result.x_final.tobytes() == state.x.tobytes()
     assert _bytes(result.y_final) == _bytes(state.y)
     assert result.iterations == iterations
@@ -875,8 +889,8 @@ def test_frozen_hnn_run_is_fast_forwarded_exactly(rate_calls, stride):
     # the campaign defaults: the first step clips every coordinate, and the check
     # after step 2 finds that it left the state unchanged: the run ends there
     inst = random_instance(20, 3, p_ref=1500.0)
-    cfg = replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=stride)
-    result = _assert_same_as_step_by_step("hnn", inst, None, cfg)
+    cfg = replace(CAMPAIGN_SOLVER, sample_stride=stride)
+    result = _assert_same_as_step_by_step("hnn", inst, None, cfg, run)
     assert result.iterations == rate_calls[0] == 2
 
 
@@ -913,8 +927,8 @@ def test_fast_forward_needs_y_frozen_too():
     inst = random_instance(8, 1, p_ref=600.0)
     graph = random_connected_graph(8, 0.2, 1)
     cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(0.01, 0.1, 0.1), alpha=1e-3,
-                  t_max=5.0, sample_stride=1, anneal=None)
-    result = _assert_same_as_step_by_step("binnn-d", inst, graph, cfg)
+                  t_max=5.0, sample_stride=1)
+    result = _assert_same_as_step_by_step("binnn-d", inst, graph, cfg, run)
     pairs = list(zip(result.trajectory[1:-1], result.trajectory[2:-1]))
     assert sum(a[1].tobytes() == b[1].tobytes() for a, b in pairs) > 200
     assert all(a[2].tobytes() != b[2].tobytes() for a, b in pairs)
@@ -988,7 +1002,7 @@ def test_a_sampled_anneal_builds_one_energy_context(flow, monkeypatch):
     assert builds == ["distributed_ctx" if flow == "binnn-d" else "centralized_ctx"]
 
 
-def _clipped_x_moving_y_binnn_d(schedule=None):
+def _clipped_x_moving_y_binnn_d(schedule=AnnealSchedule()):
     """binnn-d at a low temperature: x clips to the cube while the consensus y still moves."""
     cfg = replace(CAMPAIGN_SOLVER, thermo=Thermo(0.01, 0.1, 0.1), alpha=1e-3, t_max=5.0,
                   sample_stride=1, anneal=schedule)
@@ -1015,15 +1029,15 @@ def test_iterations_count_the_rate_evaluations(rate_calls, solve):
 def test_ending_a_frozen_round_keeps_the_full_horizons_solution():
     # the steps that a frozen round does not take would not have moved it
     cases = [
-        ("hnn", random_instance(20, 3, p_ref=1500.0), None,
-         replace(CAMPAIGN_SOLVER, anneal=None, sample_stride=7)),
-        ("hnn", random_instance(20, 5, p_ref=1500.0), None,
+        (run, "hnn", random_instance(20, 3, p_ref=1500.0), None,
+         replace(CAMPAIGN_SOLVER, sample_stride=7)),
+        (anneal, "hnn", random_instance(20, 5, p_ref=1500.0), None,
          replace(CAMPAIGN_SOLVER, thermo=Thermo(1e-6, 0.1, 0.1), sample_stride=10)),
-        _clipped_x_moving_y_binnn_d(),
+        (run, *_clipped_x_moving_y_binnn_d()),
     ]
-    for flow, inst, graph, cfg in cases:
-        result = (anneal if cfg.anneal else run)(flow, inst, graph, cfg)
-        state, iterations, _, round_ends, thermo = _step_by_step(flow, inst, graph, cfg,
+    for solve, flow, inst, graph, cfg in cases:
+        result = solve(flow, inst, graph, cfg)
+        state, iterations, _, round_ends, thermo = _step_by_step(flow, inst, graph, cfg, solve,
                                                                  full_horizon=True)
         # the hnn rounds froze and ended early; binnn-d's y never stops moving
         assert (result.iterations < iterations) == (flow == "hnn")
