@@ -10,7 +10,7 @@ import numpy as np
 
 from . import baselines, dynamics
 from .errors import BinallocError, IncompleteCampaignError
-from .graphs import random_connected_graph
+from .graphs import _count, random_connected_graph
 from .instances import DEFAULT_GAMMA, DEFAULT_P_REF, random_instance
 
 COST_TIE_TOL = 1e-9
@@ -47,7 +47,7 @@ class CampaignConfig:
         step=0.02, t_max=60.0, sample_stride=0, anneal=dynamics.AnnealSchedule(t_d=2.0)))
 
     def __post_init__(self):
-        if not (dynamics._count(self.n, 1) and dynamics._count(self.trials, 1)):
+        if not (_count(self.n, 1) and _count(self.trials, 1)):
             raise ValueError(f"n and trials must be integers >= 1, got {self.n} and {self.trials}")
         unknown = sorted(set(self.methods) - NN_METHODS.keys() - baselines.SOLVERS.keys())
         if not self.methods or unknown:  # refused before any solve runs
@@ -96,7 +96,7 @@ def run_campaign(config, jobs=1):
     and the exception's class name; the campaign continues. Reproducible for
     a seed (wall times excepted); parallel trials merge in trial order.
     """
-    if not dynamics._count(jobs, 1):  # refused before any trial runs
+    if not _count(jobs, 1):  # refused before any trial runs
         raise ValueError(f"jobs must be an integer >= 1, got {jobs}")
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     args = ([config] * config.trials, range(config.trials), trial_seeds)

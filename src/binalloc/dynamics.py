@@ -10,28 +10,20 @@ All are integrated with fixed-step explicit Euler.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import energy as en
-from .errors import NumericFailureError, ShapeError
-from .instances import eval_p1, residual_weight, round_to_binary
+from .errors import NumericFailureError
+from .graphs import _count
+from .instances import _check_graph, eval_p1, residual_weight, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
 _FREEZE_CHECK = 16  # steps between tests for a state that no longer moves, after steps 1, 2, 4, 8
 _SUM_Y_RTOL = 1e-8  # bound on |sum(y)| at a binnn-d round end, relative to max(1, sum|y|)
-
-
-def _count(value, least):
-    """Whether ``value`` is an integer (``operator.index``: not 2.5, nor 2.0) >= ``least``."""
-    try:
-        return operator.index(value) >= least
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -183,13 +175,6 @@ def _step(rates, x, y, config):
     if y is not None:
         np.add(y, np.multiply(ydot, config.step, out=ydot), out=y)
     return None
-
-
-def _check_graph(instance, graph):
-    if graph is None:
-        raise ValueError("the distributed flow requires a graph")
-    if graph.n != instance.n:
-        raise ShapeError("graph and instance sizes differ")
 
 
 def _prepare(flow, instance, graph, config):

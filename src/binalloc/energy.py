@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instances import _agent_costs, _vec, eval_p1, residual_weight
+from .instances import _agent_costs, _check_graph, _vec, eval_p1, residual_weight
 
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
@@ -188,8 +188,7 @@ def hessian(instance, thermo, x, ctx=None):
 
 def eval_p2(instance, graph, x, y, ctx=None):
     """P2: P1's agent costs plus the consensus residual of y over a communication graph."""
-    if graph.n != instance.n:
-        raise ShapeError(f"graph has {graph.n} nodes, instance has {instance.n}")
+    _check_graph(instance, graph)
     x, y = _vec(x, instance.n, "x"), _vec(y, instance.n, "y")
     ctx = ctx or distributed_ctx(instance)
     residual = ctx.output * x + graph.apply_laplacian(y) - ctx.target_share

@@ -15,14 +15,23 @@ _EXTRA_EDGE_FRACTION = 0.2  # share of the non-tree pairs a random graph adds, b
 _SPARSE_FILL = 1.0 / 32.0
 
 
+def _count(value, least):
+    """Whether ``value`` is an integer (``operator.index``: not 2.5, nor 2.0) >= ``least``."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable connected undirected graph with unit edge weights, built from (n, edges).
 
     The edges are stored as a sorted tuple of (i, j) pairs with i < j, duplicates and
-    orientation ignored; a self-loop, an endpoint outside 0..n-1 or a disconnected
-    graph is refused. ``neighbors[i]`` is the sorted tuple of nodes adjacent to i, for
-    per-agent computation. Both it and ``arcs`` are derived: graphs compare by (n, edges).
+    orientation ignored; an edge that is not a pair of integers, a self-loop, an
+    endpoint outside 0..n-1 or a disconnected graph is refused: the constructor is the
+    one connectivity check. ``neighbors[i]`` is the sorted tuple of nodes adjacent to i,
+    for per-agent computation. Both it and ``arcs`` are derived: graphs compare by (n, edges).
     """
 
     n: int
@@ -33,16 +42,13 @@ class Graph:
     arcs: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)  # an integer: not 2.5, nor 2.0
-        except TypeError:
-            n = -1
-        if n < 0:
+        if not _count(self.n, 0):
             raise InvalidGraphError(f"a graph needs an integer number of nodes >= 0, got {self.n!r}")
-        try:  # integer endpoints: not 1.7, nor "1"
+        n = operator.index(self.n)
+        try:  # pairs of integer endpoints: not 1.7, nor "1", nor (0, 1, 2)
             edge_set = {tuple(sorted((operator.index(i), operator.index(j)))) for i, j in self.edges}
-        except TypeError as exc:
-            raise InvalidGraphError(f"graph endpoints must be integers: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidGraphError(f"graph endpoints must be integers, two to an edge: {exc}") from None
         adj = [[] for _ in range(n)]
         for i, j in edge_set:
             if i == j:
@@ -51,6 +57,13 @@ class Graph:
                 raise InvalidGraphError(f"edge ({i},{j}) out of range for n={n}")
             adj[i].append(j)
             adj[j].append(i)
+        reached, seen = [0][:n], {0}
+        for i in reached:  # breadth-first from node 0; the list grows while it is read
+            fresh = [j for j in adj[i] if j not in seen]
+            seen.update(fresh)
+            reached.extend(fresh)
+        if len(reached) < n:
+            raise ConnectivityError(f"the graph on {n} nodes is disconnected")
         edges = tuple(sorted(edge_set))
         arcs = None
         if 2 * len(edges) <= _SPARSE_FILL * n * n:
@@ -63,8 +76,6 @@ class Graph:
         for name, value in (("n", n), ("edges", edges), ("arcs", arcs),
                             ("neighbors", tuple(tuple(sorted(a)) for a in adj))):
             object.__setattr__(self, name, value)
-        if not is_connected(self):
-            raise ConnectivityError(f"the graph on {n} nodes is disconnected")
 
     @cached_property
     def laplacian(self):
@@ -91,18 +102,6 @@ class Graph:
         return np.subtract(degree * v, acc, out=acc)
 
 
-def is_connected(graph):
-    """Breadth-first reachability from node 0 (a graph with no nodes is connected)."""
-    order = [0][:graph.n]
-    seen = set(order)
-    for i in order:  # the list grows while it is read
-        for j in graph.neighbors[i]:
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-    return len(order) == graph.n
-
-
 def y_star(graph, output, x):
     """Closed-form minimizer of the distributed penalty over the flow's set sum(y) = 0.
 
@@ -120,11 +119,13 @@ def y_star(graph, output, x):
 def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=None):
     """Random spanning tree plus a fraction of the remaining pairs as extra edges.
 
-    Fraction 0 gives a tree; fraction 1 gives the complete graph. Always
-    connected; deterministic for a given seed.
+    Fraction 0 gives a tree; fraction 1 gives the complete graph. Always connected. The
+    extra edges are drawn as indices into the row-major list of free pairs, which is never
+    built (a seed gives the graph that list would give), and Graph reads all pairs once:
+    memory is O(n + extra edges), beyond numpy's draw (8 bytes a free pair at most).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not _count(n, 1):
+        raise ValueError(f"n must be >= 1 and an integer, got {n!r}")
     if not 0 <= extra_edge_fraction <= 1:
         raise ValueError(f"extra_edge_fraction must be in [0, 1], got {extra_edge_fraction}")
     rng = np.random.default_rng(seed)
@@ -133,17 +134,17 @@ def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=Non
     for k in range(1, n):
         parent = order[rng.integers(0, k)]
         edges.add(tuple(sorted((int(order[k]), int(parent)))))
-    if extra_edge_fraction > 0:
-        rest = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in edges
-        ]
-        if rest:
-            take = int(round(extra_edge_fraction * len(rest)))
-            idx = rng.choice(len(rest), size=take, replace=False)
-            edges.update(rest[k] for k in idx)
+    free = n * (n - 1) // 2 - len(edges)  # the pairs outside the tree
+    if extra_edge_fraction > 0 and free:
+        drawn = rng.choice(free, size=int(round(extra_edge_fraction * free)), replace=False)
+        # pair (i, j) has row-major index i(2n-i-1)/2 + j-i-1; free pair k is pair k plus
+        # the tree pairs below it: those whose index less their rank is at most k
+        starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # row i's pair index at j = i+1
+        i, j = np.array(list(edges)).T
+        tree = np.sort(starts[i] + j - i - 1)
+        pair = drawn + np.searchsorted(tree - np.arange(n - 1), drawn, side="right")
+        row = np.searchsorted(starts, pair, side="right") - 1
+        edges = zip(np.r_[i, row].tolist(), np.r_[j, pair - starts[row] + row + 1].tolist())
     return Graph(n, edges)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoefficientError, ShapeError
-from .graphs import Graph
+from .graphs import Graph, _count
 
 # random_instance's target output and penalty; the campaign and from_json_dict read them
 DEFAULT_P_REF = 1500.0
@@ -117,6 +117,13 @@ def default_quad(output, penalty):
     return np.full(p.shape[0], -level * 1.1)
 
 
+def _check_graph(instance, graph):  # a graph that P2 or the distributed flow reads
+    if graph is None:
+        raise ValueError("the distributed flow requires a graph")
+    if graph.n != instance.n:
+        raise ShapeError(f"the graph has {graph.n} nodes, the instance {instance.n} agents")
+
+
 def _agent_costs(instance, x):
     """Each agent's own cost f_i(x_i): the part that P1 and P2 share."""
     quad, center = instance.quad, instance.center
@@ -169,8 +176,6 @@ def random_instance(
 
 def to_json_dict(instance, graph=None):
     """Serializable dict in the on-disk schema: keys n, p, a, b, d, gamma, p_ref (and edges)."""
-    if graph is not None and graph.n != instance.n:
-        raise ShapeError(f"the graph has {graph.n} nodes, the instance {instance.n} agents")
     doc = {
         "n": instance.n,
         "p": instance.output.tolist(),
@@ -181,6 +186,7 @@ def to_json_dict(instance, graph=None):
         "p_ref": instance.target,
     }
     if graph is not None:
+        _check_graph(instance, graph)
         doc["edges"] = [list(e) for e in graph.edges]
     return doc
 
@@ -209,8 +215,8 @@ def from_json_dict(doc):
     if flagged:  # before _vec and Graph read a boolean as 0 or 1
         raise ShapeError(f"{flagged[0]} must hold numbers, not booleans")
     n = doc["n"]
-    if not isinstance(n, int):  # an integer: not 2.7, nor "2"
-        raise ShapeError(f"n must be an integer, got {n!r}")
+    if not _count(n, 0):  # an integer: not 2.7, nor "2"; zero agents are refused by Instance
+        raise ShapeError(f"n must be an integer >= 0, got {n!r}")
     p = _vec(doc["p"], n, "p")
     if not all(isinstance(v, (int, float)) for v in (gamma, p_ref)):  # a number: not "2", nor null
         raise ShapeError(f"gamma and p_ref must be numbers, got {gamma!r} and {p_ref!r}")

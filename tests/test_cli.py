@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from binalloc import AnnealSchedule, Graph, SolverConfig, anneal, graphs
+from binalloc import AnnealSchedule, Graph, SolverConfig, anneal
 from binalloc.cli import _solver_config, build_parser, main
 from binalloc.instances import save_instance, to_json_dict
 
@@ -265,7 +265,7 @@ def test_solve_non_integer_size_is_runtime_error(tmp_path, two_agent, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**to_json_dict(two_agent), "n": 2.7}))
     assert run_cli(["solve", str(path), "--method", "greedy"]) == 1
-    assert capsys.readouterr().err == "error: n must be an integer, got 2.7\n"
+    assert capsys.readouterr().err == "error: n must be an integer >= 0, got 2.7\n"
 
 
 def test_solve_disconnected_graph_is_runtime_error(tmp_path, two_agent, capsys):
@@ -290,8 +290,8 @@ def test_solve_out_of_range_edge_is_runtime_error(tmp_path, two_agent, capsys):
 
 def test_a_listed_graph_is_checked_once(two_agent_file, monkeypatch, capsys):
     checked, listed = [], Graph(2, [(0, 1)])
-    is_connected = graphs.is_connected
-    monkeypatch.setattr(graphs, "is_connected", lambda graph: checked.append(graph) or is_connected(graph))
+    build = Graph.__post_init__  # the one connectivity check
+    monkeypatch.setattr(Graph, "__post_init__", lambda graph: checked.append(graph) or build(graph))
     assert run_cli(["solve", two_agent_file, "--method", "binnn-d", "--t-max", "1"]) == 0
     assert checked == [listed]  # built once, as the file is loaded
 

@@ -236,6 +236,11 @@ def test_kernels_refuse_a_wrong_size_and_a_floor_not_above_zero(two_agent, pair_
             pt_inverse_scalar(1.0, floor)
 
 
+def test_eval_p2_refuses_a_missing_graph(two_agent):
+    with pytest.raises(ValueError, match="requires a graph"):
+        en.eval_p2(two_agent, None, [0.5, 0.5], [0.0, 0.0])
+
+
 def test_pt_inverse_scalar_examples():
     assert pt_inverse_scalar(-4.0, 0.1) == pytest.approx(0.25)
     assert pt_inverse_scalar(0.01, 0.1) == pytest.approx(10.0)

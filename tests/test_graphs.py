@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from binalloc import graphs
 from binalloc.errors import ConnectivityError, InvalidGraphError, ShapeError
 from binalloc.graphs import (
     Graph,
-    is_connected,
     named_topology,
     random_connected_graph,
     y_star,
@@ -49,6 +50,13 @@ def test_graph_edges_are_normalized_and_their_endpoints_checked():
     assert g.edges == ((0, 1), (1, 2)) and all(type(i) is int for e in g.edges for i in e)
 
 
+def test_an_edge_that_is_not_a_pair_is_an_invalid_graph():
+    # unpacked as (i, j): three entries, one, or a one-key object are no pair
+    for edges in ([(0, 1, 2)], [(0,)], [[0, 1], [0, 1, 1]], [{"a": 1}], ["01"]):
+        with pytest.raises(InvalidGraphError, match="endpoints must be integers"):
+            Graph(3, edges)
+
+
 def test_graph_size_is_an_integer_of_at_least_zero():
     for n in (-1, 2.5, 2.0, "2", None):
         with pytest.raises(InvalidGraphError, match="integer number of nodes"):
@@ -81,8 +89,6 @@ def test_laplacian_zero_row_sums_exact():
 
 
 def test_is_connected_examples():
-    assert is_connected(Graph(3, [(0, 1), (1, 2)]))
-    assert is_connected(named_topology("complete", 5))
     with pytest.raises(ConnectivityError):  # a Graph is connected, however it is built
         Graph(2, [])
     with pytest.raises(ConnectivityError):
@@ -97,7 +103,7 @@ def test_graphs_compare_and_hash_by_their_edges():
 
 
 def test_graph_guards():
-    assert is_connected(Graph(0, []))  # no node is left unreached
+    assert Graph(0, []).edges == ()  # no node is left unreached
     with pytest.raises(ConnectivityError):
         y_star(Graph(3, [(0, 1)]), [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
     with pytest.raises(ShapeError):
@@ -106,6 +112,12 @@ def test_graph_guards():
         y_star(Graph(2, [(0, 1)]), [1.0, 1.0], [0.5])
     with pytest.raises(ValueError, match="n must be >= 1"):
         random_connected_graph(0)
+
+
+def test_random_connected_graph_refuses_a_size_that_is_not_an_integer():
+    for n in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            random_connected_graph(n)
 
 
 def test_fiedler_positive_for_connected():
@@ -156,12 +168,10 @@ def test_random_connected_graph_basics():
     assert g.n == 1 and g.edges == ()
     for seed in range(10):
         g = random_connected_graph(9, 0.0, seed=seed)
-        assert is_connected(g)
         assert len(g.edges) == 8  # spanning tree
     g = random_connected_graph(6, 1.0, seed=3)
     assert len(g.edges) == 15
     g = random_connected_graph(2000, 0.0, seed=0)
-    assert is_connected(g)
     assert len(g.edges) == 1999
 
 
@@ -169,6 +179,16 @@ def test_random_connected_graph_deterministic():
     a = random_connected_graph(10, 0.3, seed=5)
     b = random_connected_graph(10, 0.3, seed=5)
     assert a.edges == b.edges
+
+
+def test_random_connected_graphs_keep_their_edges():
+    # the edges each (n, fraction, seed) gave when every free pair was listed before the draw
+    digest = hashlib.sha256()
+    for n in [*range(1, 31), 50, 64, 100, 200, 400]:
+        for fraction in (0.0, 0.05, 0.2, 0.5, 1.0):
+            for seed in range(6):
+                digest.update(repr(random_connected_graph(n, fraction, seed).edges).encode())
+    assert digest.hexdigest() == "f1e674047e6c769ea16b66a4476e307033f862779eb938a8b00c0e6b5f4da066"
 
 
 @pytest.mark.parametrize("fraction", [-0.5, np.nan, 1.5])
@@ -182,7 +202,7 @@ def test_named_topologies():
     ring = named_topology("ring", 4)
     assert (0, 3) in ring.edges and len(ring.edges) == 4
     assert len(named_topology("complete", 5).edges) == 10
-    assert is_connected(named_topology("random", 7, seed=1))
+    assert len(named_topology("random", 7, seed=1).edges) >= 6  # built, so connected
     with pytest.raises(ValueError):
         named_topology("torus", 4)
 

@@ -333,6 +333,13 @@ def test_json_rejects_self_loop_and_out_of_range_edges():
             from_json_dict({**base, "edges": edges})
 
 
+@pytest.mark.parametrize("edge", [[0, 1, 1], {"a": 1}, "01"])
+def test_json_rejects_an_edge_that_is_not_a_pair(edge):
+    doc = {"n": 3, "p": [1.0, 1.0, 1.0], "c": [1.0, 1.0, 1.0], "edges": [[0, 1], [1, 2], edge]}
+    with pytest.raises(InvalidGraphError, match="endpoints must be integers"):
+        from_json_dict(doc)
+
+
 def test_to_json_dict_schema(two_agent):
     doc = to_json_dict(two_agent)
     assert set(doc) == {"n", "p", "a", "b", "d", "gamma", "p_ref"}
