@@ -36,6 +36,7 @@ def _exact(instance, chosen, iterations):
 
 
 def _set_cost(instance, base, total_output, incr_sum):
+    """P1 on bits, the one price of a set: ``base`` + on-costs + penalty; arrays price many sets."""
     mismatch = total_output - instance.target
     return base + incr_sum + 0.5 * instance.penalty * mismatch * mismatch
 
@@ -107,8 +108,7 @@ def brute_force(instance):
     best_cost = np.inf
     best_code = 0
     for prefix in range(len(c_hi)):
-        mismatch = p_lo + p_hi[prefix] - instance.target
-        costs = c_lo + c_hi[prefix] + 0.5 * instance.penalty * mismatch**2
+        costs = _set_cost(instance, c_hi[prefix], p_lo + p_hi[prefix], c_lo)
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost = float(costs[k])

@@ -178,13 +178,12 @@ def _step(rates, x, y, config):
 
 
 def _prepare(flow, instance, graph, config):
-    if flow == "binnn-d":
-        _check_graph(instance, graph)
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     init_seed, jitter_seed = ss.spawn(2)
     state = init_state(instance.n, config.eps_init, seed=init_seed)
     if flow == "binnn-d":  # y starts at zero, so its conserved sum is zero
+        _check_graph(instance, graph)
         state = replace(state, y=np.zeros(instance.n))
     rng, knobs = np.random.default_rng(jitter_seed), config.thermo
     thermo = replace(knobs, temp=knobs.temp * rng.uniform(1.0 - _JITTER, 1.0 + _JITTER),

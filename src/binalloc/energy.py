@@ -113,7 +113,7 @@ def centralized_ctx(instance):
 @dataclass(frozen=True)
 class DistributedEnergyCtx:
     """The constants of P2's residual term 0.5 weight |output*x + L y - target/n|^2 and of
-    the distributed energy's gradients, its diagonal Hessian in x and the fused binnn-d rates."""
+    the distributed energy's gradients and the fused binnn-d rates."""
 
     weight: float  # residual_weight(instance)
     output: np.ndarray
@@ -133,10 +133,6 @@ class DistributedEnergyCtx:
         grad -= np.multiply(np.log(part, out=part), ratio, out=part)
         return grad
 
-    def hessian_diag(self, barrier_curvature, out=None):
-        """The Hessian in x is diagonal: its diagonal, given the barrier's ratio / (x - x^2)."""
-        return np.add(self.coupling_diag, barrier_curvature, out=out)
-
     def y_rate(self, graph, x, lap_y, gain):
         """gain * L (output*x + L y), overwriting L y; at gain = weight, the y-gradient."""
         lap_y += np.multiply(self.output, x)
@@ -145,8 +141,8 @@ class DistributedEnergyCtx:
         return rate
 
     def rates(self, graph, thermo, alpha):
-        """The binnn-d rates ``(x, y) -> (xdot, ydot, grad)`` at fixed knobs, on fresh arrays:
-        xdot = pt_inverse_scalar(Hessian diagonal) * (x - x^2) / temp * -grad."""
+        """The binnn-d rates ``(x, y) -> (xdot, ydot, grad)`` at fixed knobs, on fresh arrays: xdot =
+        pt_inverse_scalar(coupling_diag + ratio / (x - x^2), the x-Hessian) * (x - x^2) / temp * -grad."""
         ratio, temp, y_gain = thermo.temp / thermo.time_const, thermo.temp, -alpha * self.weight
 
         def rates(x, y):
@@ -155,7 +151,7 @@ class DistributedEnergyCtx:
             gap = np.multiply(x, x)
             np.subtract(x, gap, out=gap)
             xdot = np.divide(ratio, gap)
-            pt_inverse_scalar(self.hessian_diag(xdot, out=xdot), thermo.floor, out=xdot)
+            pt_inverse_scalar(np.add(self.coupling_diag, xdot, out=xdot), thermo.floor, out=xdot)
             gap /= -temp  # the sign of -grad, exactly
             xdot *= gap
             xdot *= grad

@@ -28,15 +28,13 @@ class Graph:
     """Immutable connected undirected graph with unit edge weights, built from (n, edges).
 
     The edges are stored as a sorted tuple of (i, j) pairs with i < j, duplicates and
-    orientation ignored; an edge that is not a pair of integers, a self-loop, an
-    endpoint outside 0..n-1 or a disconnected graph is refused: the constructor is the
-    one connectivity check. ``neighbors[i]`` is the sorted tuple of nodes adjacent to i,
-    for per-agent computation. Both it and ``arcs`` are derived: graphs compare by (n, edges).
+    orientation ignored; an edge that is not a pair of integers, a self-loop, an endpoint
+    outside 0..n-1 or a disconnected graph is refused: the one connectivity check. ``arcs``
+    and ``laplacian`` derive from the edges, the adjacency's one home: graphs compare by (n, edges).
     """
 
     n: int
     edges: tuple
-    neighbors: tuple = field(init=False, compare=False, repr=False)
     # (rows, cols, degree) of the directed edges, if sparse; on a regular graph rows
     # is None and cols[k] holds each node's k-th neighbour in the order of ``edges``
     arcs: tuple | None = field(init=False, compare=False, repr=False)
@@ -73,8 +71,7 @@ class Graph:
             if n and degree.min() == degree.max() > 0:  # regular: whole-vector gathers
                 rows, cols = None, cols[np.argsort(rows, kind="stable")].reshape(n, -1).T.copy()
             arcs = (rows, cols, degree)
-        for name, value in (("n", n), ("edges", edges), ("arcs", arcs),
-                            ("neighbors", tuple(tuple(sorted(a)) for a in adj))):
+        for name, value in (("n", n), ("edges", edges), ("arcs", arcs)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -87,7 +84,7 @@ class Graph:
         lap = np.zeros((self.n, self.n))
         heads, tails = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         lap[heads, tails] = lap[tails, heads] = -1.0
-        np.fill_diagonal(lap, [len(nbrs) for nbrs in self.neighbors])
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))  # the degrees, exact; a lone node's is +0.0
         return lap
 
     def apply_laplacian(self, v):
@@ -150,6 +147,8 @@ def random_connected_graph(n, extra_edge_fraction=_EXTRA_EDGE_FRACTION, seed=Non
 
 def named_topology(name, n, seed=None, extra_edge_fraction=_EXTRA_EDGE_FRACTION):
     """Graphs by name: ring, path, complete, or random (seeded)."""
+    if name in ("path", "ring", "complete") and not _count(n, 0):  # Graph's refusal, before range(n)
+        raise InvalidGraphError(f"a graph needs an integer number of nodes >= 0, got {n!r}")
     if name == "path":
         return Graph(n, [(i, i + 1) for i in range(n - 1)])
     if name == "ring":

@@ -162,6 +162,8 @@ def random_instance(
     :func:`default_quad`, centers from :func:`fit_coefficients`, passive
     costs are zero.
     """
+    if not _count(n, 0):  # as from_json_dict refuses it; zero agents are refused by Instance
+        raise ShapeError(f"n must be an integer >= 0, got {n!r}")
     lo, hi = p_range
     if not lo < hi and lo != hi:
         raise ValueError(f"bad p_range {p_range}")

@@ -15,14 +15,19 @@ def agent_rates(state, instance, graph, thermo, alpha, agent):
 
     The decision update reads the agent's own data plus one-hop auxiliary
     values; the auxiliary update reads one- and two-hop data. Used to verify
-    that the vectorized flow is implementable with local communication.
+    that the vectorized flow is implementable with local communication. Each
+    agent's neighbours are read off ``graph.edges`` here, not taken from the library.
     """
     i, x, y, p = int(agent), state.x, state.y, instance.output
     ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
-    nbrs = graph.neighbors[i]
+
+    def neighbors(j):
+        return [b if a == j else a for a, b in graph.edges if j in (a, b)]
+
+    nbrs = neighbors(i)
 
     def lap_row(j, vec):
-        return len(graph.neighbors[j]) * vec[j] - sum(vec[k] for k in graph.neighbors[j])
+        return len(neighbors(j)) * vec[j] - sum(vec[k] for k in neighbors(j))
 
     share = instance.target / instance.n - lap_row(i, y)
     bias_i = instance.quad[i] * instance.center[i] + weight * p[i] * share

@@ -181,8 +181,9 @@ def test_brute_force_matches_reversed_enumeration_past_one_chunk(n):
 
 
 def test_brute_force_matches_dense_enumeration_over_many_chunks():
-    for seed in range(3):
-        inst = random_instance(17, 90 + seed, p_ref=float(10 + 15 * seed) * 17)
+    # targets of 10, 25 and 40 per agent, and criterion 10's 15 per agent
+    for seed, per_agent in ((0, 10), (1, 25), (2, 40), (3, 15)):
+        inst = random_instance(17, 90 + seed, p_ref=float(per_agent) * 17)
         assert brute_force(inst).chosen == _all_corners_oracle(inst)
 
 

@@ -272,7 +272,7 @@ def test_fused_binnn_d_rates_equal_unfused_bytes_on_every_laplacian():
     }
     assert graphs["dense"].arcs is None and graphs["regular gathers"].arcs[0] is None
     assert all(graphs[name].arcs[0] is not None for name in ("bincount", "bincount, irregular"))
-    assert len(set(map(len, graphs["bincount, irregular"].neighbors))) > 2
+    assert len(set(np.bincount(np.ravel(graphs["bincount, irregular"].edges)))) > 2  # degrees
     # the second knobs put the floor of the PT-inverse to work
     knobs = ((THERMO, 1.0), (Thermo(temp=0.5, time_const=0.25, floor=1.5), 0.3))
     floored = 0
@@ -290,7 +290,7 @@ def test_fused_binnn_d_rates_equal_unfused_bytes_on_every_laplacian():
             # the integrator overwrites what it gets: each call returns fresh arrays
             assert not any(np.shares_memory(a, b) for a in got for b in again + (x, y))
             ratio = thermo.temp / thermo.time_const
-            hd = distributed_ctx(inst).hessian_diag(ratio / (x - x * x))
+            hd = distributed_ctx(inst).coupling_diag + ratio / (x - x * x)  # the x-Hessian
             floored += int(np.sum(np.abs(hd) < thermo.floor))
         assert x.tobytes() == x_in.tobytes() and y.tobytes() == y_in.tobytes()
     assert floored > 0
@@ -300,7 +300,7 @@ def test_binnn_d_round_end_checks_that_sum_y_is_conserved():
     inst, ring = small_instance(6, seed=3), named_topology("ring", 6)
 
     class LeakyRing:  # its Laplacian product does not conserve the sum
-        n, neighbors = ring.n, ring.neighbors
+        n = ring.n
 
         def apply_laplacian(self, v):
             return ring.apply_laplacian(v) + 1e-3
@@ -321,7 +321,7 @@ def test_binnn_d_round_end_with_a_non_finite_state_fails():
     inst, ring = small_instance(6, seed=3), named_topology("ring", 6)
 
     class FloodedRing:  # a finite, constant product: the rates stay finite while y overflows
-        n, neighbors = ring.n, ring.neighbors
+        n = ring.n
 
         def apply_laplacian(self, v):
             return np.full(self.n, 1e308)

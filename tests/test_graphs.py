@@ -67,10 +67,13 @@ def test_graph_size_is_an_integer_of_at_least_zero():
 
 
 def test_neighbors_and_arcs_are_derived_from_the_edges():
-    with pytest.raises(TypeError):  # three descriptions that could disagree: one is taken
-        Graph(n=3, edges=((0, 1), (1, 2)), neighbors=((1, 2), (0, 2), (0, 1)))
+    # the edges are the adjacency's one home: no other description can disagree with them
+    for derived in ({"arcs": None}, {"neighbors": ((1, 2), (0, 2), (0, 1))}):
+        with pytest.raises(TypeError):
+            Graph(n=3, edges=((0, 1), (1, 2)), **derived)
     g = Graph(3, ((0, 1), (1, 2)))
-    assert g.neighbors == ((1,), (0, 2), (1,))
+    assert not hasattr(g, "neighbors")
+    assert np.diag(g.laplacian).tolist() == [1.0, 2.0, 1.0]
     assert np.all(g.laplacian.sum(axis=1) == 0.0)
 
 
@@ -205,6 +208,17 @@ def test_named_topologies():
     assert len(named_topology("random", 7, seed=1).edges) >= 6  # built, so connected
     with pytest.raises(ValueError):
         named_topology("torus", 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):  # random_connected_graph's refusal
+        named_topology("random", 2.5)
+
+
+@pytest.mark.parametrize("name", ["path", "ring", "complete"])
+def test_a_named_topology_refuses_a_size_that_is_not_an_integer(name):
+    # Graph's own refusal, before an edge list is built from the size
+    for n in (2.5, "3", None, -1):
+        with pytest.raises(InvalidGraphError, match="integer number of nodes"):
+            named_topology(name, n)
+    assert named_topology(name, 0) == Graph(0, [])
 
 
 # complete and random graphs at n=2000 have ~2M pairs: too slow to build in a unit test

@@ -210,6 +210,15 @@ def test_instance_refuses_zero_agents():
         Instance(quad=[], center=[], passive=[], output=[], penalty=1.0, target=0.0)
     with pytest.raises(ShapeError, match="at least one agent"):
         from_json_dict({"n": 0, "p": [], "c": []})
+    with pytest.raises(ShapeError, match="at least one agent"):
+        random_instance(0, 0)
+
+
+def test_random_instance_refuses_a_size_that_is_not_an_integer():
+    # as from_json_dict refuses its n: a shape error, before numpy reads the size
+    for n in (2.5, -1, "3", None):
+        with pytest.raises(ShapeError, match="n must be an integer"):
+            random_instance(n, 0)
 
 
 def test_json_round_trip(tmp_path, two_agent):
@@ -229,7 +238,7 @@ def test_a_graph_round_trips_through_a_file(tmp_path, topology):
     instance, graph = random_instance(30, 0), named_topology(topology, 30, seed=4)
     save_instance(instance, tmp_path / "inst.json", graph)
     loaded, loaded_graph = load_instance(tmp_path / "inst.json")
-    assert loaded_graph == graph and loaded_graph.neighbors == graph.neighbors
+    assert loaded_graph == graph  # (n, edges): everything else is derived from them
     assert np.array_equal(loaded.output, instance.output)
 
 
