@@ -38,7 +38,7 @@ def _exact(instance, chosen, iterations):
 def _set_cost(instance, base, total_output, incr_sum):
     """P1 on bits, the one price of a set: ``base`` + on-costs + penalty; arrays price many sets."""
     mismatch = total_output - instance.target
-    return base + incr_sum + 0.5 * instance.penalty * mismatch * mismatch
+    return base + incr_sum + 0.5 * instance.penalty * np.square(mismatch)
 
 
 def _switch_on(instance, next_agent):

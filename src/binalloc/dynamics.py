@@ -18,7 +18,7 @@ import numpy as np
 from . import energy as en
 from .errors import NumericFailureError
 from .graphs import _count
-from .instances import _check_graph, eval_p1, residual_weight, round_to_binary
+from .instances import _check_graph, eval_p1, round_to_binary
 
 FLOW_KINDS = ("binnn-c", "hnn", "binnn-d")
 _JITTER = 1e-3  # relative width of the multiplicative jitter on a run's knobs
@@ -136,26 +136,14 @@ def flow_rates(flow, instance, graph, thermo, alpha, ctx=None):
 
     Returns ``rates(x, y) -> (xdot, ydot, grad)``: the decision velocity,
     the auxiliary velocity (None off binnn-d) and the energy gradient that
-    the decision velocity descends. ``ctx``, the instance's ``distributed_ctx``
-    or ``centralized_ctx``, is built when not given.
+    the decision velocity descends, from the kernel of ``ctx``: the flow's
+    ``distributed_ctx`` or ``centralized_ctx``, built when not given.
     """
     if flow not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {flow!r}")
     if flow == "binnn-d":
         return (ctx or en.distributed_ctx(instance)).rates(graph, thermo, alpha)
-    ratio = thermo.temp / thermo.time_const
-    ctx = ctx or en.centralized_ctx(instance)
-    newton = flow == "binnn-c"
-
-    def rates(x, y):
-        gap = x - x * x
-        grad = ctx.grad(x, ratio)
-        xdot = gap * -grad / thermo.temp
-        if newton:
-            xdot = ctx.pt_solve(ratio / gap, xdot, thermo.floor)
-        return xdot, None, grad
-
-    return rates
+    return (ctx or en.centralized_ctx(instance)).rates(thermo, flow == "binnn-c")
 
 
 def _step(rates, x, y, config):
@@ -295,23 +283,22 @@ def anneal(flow, instance, graph=None, config=None):
 def terminal_diagnostics(result, instance, graph=None, tol_x=SolverConfig.tol_x):
     """Gradient norm and Hessian spectrum at the terminal point, at the run's final knobs.
 
-    The gradients come from the rates kernel ("hnn" for a centralized result).
-    Both Hessians are diag(quad + curvature) + s output output^T: the centralized
-    energy's in x has s = penalty; binnn-d's with y eliminated (L is invertible on
-    sum(y) = 0) has s = residual_weight / n, and by Haynsworth's inertia additivity
-    it is positive definite exactly when the joint Hessian is there. Certifies a
-    local minimum when the run converged with small gradients, in x and in y, and
-    that Hessian positive definite.
+    The gradients come from the rates kernel ("hnn" for a centralized result), and the
+    Hessian is diag(quad + curvature) + weight weight^T with the flow's context's ``weight``:
+    the centralized energy's in x, or binnn-d's with y eliminated (L is invertible on
+    sum(y) = 0), by Haynsworth's inertia additivity positive definite exactly when the
+    joint Hessian is. Certifies a local minimum when the run converged with small
+    gradients, in x and in y, and that Hessian positive definite.
     """
     thermo = result.thermo_final
     x, y = en._interior(result.x_final, instance.n), result.y_final
     if y is not None:
         _check_graph(instance, graph)
+    ctx = (en.centralized_ctx if y is None else en.distributed_ctx)(instance)
     # with alpha = 1 the auxiliary velocity is exactly minus the y-gradient
-    _, ydot, g = flow_rates("hnn" if y is None else "binnn-d", instance, graph, thermo, 1.0)(x, y)
-    scale = instance.penalty if y is None else residual_weight(instance) / instance.n
+    _, ydot, g = flow_rates("hnn" if y is None else "binnn-d", instance, graph, thermo, 1.0, ctx)(x, y)
     curvature = thermo.temp / thermo.time_const / (x - x**2)
-    min_eig = en.min_eig_rank_one(instance.quad + curvature, np.sqrt(scale) * instance.output)
+    min_eig = en.min_eig_rank_one(instance.quad + curvature, ctx.weight)
     grad_inf = float(np.max(np.abs(g)))
     grad_y_inf = None if y is None else float(np.max(np.abs(ydot)))
     small = grad_inf < 10.0 * tol_x and (y is None or grad_y_inf < 10.0 * tol_x)

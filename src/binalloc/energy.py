@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .instances import _agent_costs, _check_graph, _vec, eval_p1, residual_weight
+from .instances import _agent_costs, _check_graph, _vec, eval_p1
 
 _SYM_TOL = 1e-9
 _ENDPOINT_GUARD = 1e-12
@@ -74,6 +74,19 @@ class CentralizedEnergyCtx:
         coupled = self.quad * x + self.penalty_output * (self.output @ x)
         return coupled - self.bias - ratio * np.log(1.0 / x - 1.0)
 
+    def rates(self, thermo, newton):
+        """The hnn rates ``(x, y) -> (xdot, None, grad)`` at fixed knobs, xdot = (x - x^2) / temp
+        * -grad; binnn-c's (``newton``) apply the PT-inverse Hessian to that xdot by ``pt_solve``."""
+        ratio = thermo.temp / thermo.time_const
+
+        def rates(x, y):
+            gap = x - x * x
+            grad = self.grad(x, ratio)
+            xdot = gap * -grad / thermo.temp
+            return (self.pt_solve(ratio / gap, xdot, thermo.floor) if newton else xdot), None, grad
+
+        return rates
+
     def hessian(self, barrier_curvature):
         """Dense Hessian, given the barrier's diagonal Hessian ratio / (x - x^2)."""
         hess = self.penalty_output[:, None] * self.output
@@ -112,15 +125,16 @@ def centralized_ctx(instance):
 
 @dataclass(frozen=True)
 class DistributedEnergyCtx:
-    """The constants of P2's residual term 0.5 weight |output*x + L y - target/n|^2 and of
+    """The constants of P2's residual term 0.5 w |output*x + L y - target/n|^2 and of
     the distributed energy's gradients and the fused binnn-d rates."""
 
-    weight: float  # residual_weight(instance)
+    w: float  # the residual weight, set in distributed_ctx
     output: np.ndarray
-    coupling_diag: np.ndarray  # quad + weight * output**2
-    weight_output: np.ndarray  # weight * output
+    coupling_diag: np.ndarray  # quad + w * output**2
+    weight_output: np.ndarray  # w * output
     quad_center: np.ndarray  # quad * center
     target_share: float  # target / n
+    weight: np.ndarray  # sqrt(w / n) * output: the x-Hessian, y eliminated, is diag + weight weight^T
 
     def grad(self, x, lap_y, ratio):
         """The x-gradient, with ``ratio`` = temp / time_const, on two fresh arrays."""
@@ -134,7 +148,7 @@ class DistributedEnergyCtx:
         return grad
 
     def y_rate(self, graph, x, lap_y, gain):
-        """gain * L (output*x + L y), overwriting L y; at gain = weight, the y-gradient."""
+        """gain * L (output*x + L y), overwriting L y; at gain = w, the y-gradient."""
         lap_y += np.multiply(self.output, x)
         rate = graph.apply_laplacian(lap_y)
         rate *= gain
@@ -143,7 +157,7 @@ class DistributedEnergyCtx:
     def rates(self, graph, thermo, alpha):
         """The binnn-d rates ``(x, y) -> (xdot, ydot, grad)`` at fixed knobs, on fresh arrays: xdot =
         pt_inverse_scalar(coupling_diag + ratio / (x - x^2), the x-Hessian) * (x - x^2) / temp * -grad."""
-        ratio, temp, y_gain = thermo.temp / thermo.time_const, thermo.temp, -alpha * self.weight
+        ratio, temp, y_gain = thermo.temp / thermo.time_const, thermo.temp, -alpha * self.w
 
         def rates(x, y):
             lap_y = graph.apply_laplacian(y)
@@ -161,8 +175,9 @@ class DistributedEnergyCtx:
 
 
 def distributed_ctx(instance):
-    a, b, p, w = instance.quad, instance.center, instance.output, residual_weight(instance)
-    return DistributedEnergyCtx(w, p, a + w * p**2, w * p, a * b, instance.target / instance.n)
+    a, b, p, n = instance.quad, instance.center, instance.output, instance.n
+    w = instance.penalty  # the residual weight's one home
+    return DistributedEnergyCtx(w, p, a + w * p**2, w * p, a * b, instance.target / n, np.sqrt(w / n) * p)
 
 
 def energy(instance, thermo, x):
@@ -188,7 +203,7 @@ def eval_p2(instance, graph, x, y, ctx=None):
     x, y = _vec(x, instance.n, "x"), _vec(y, instance.n, "y")
     ctx = ctx or distributed_ctx(instance)
     residual = ctx.output * x + graph.apply_laplacian(y) - ctx.target_share
-    return float(_agent_costs(instance, x).sum() + 0.5 * ctx.weight * float(residual @ residual))
+    return float(_agent_costs(instance, x).sum() + 0.5 * ctx.w * float(residual @ residual))
 
 
 def energy_tilde(instance, graph, thermo, x, y, ctx=None):
@@ -199,7 +214,7 @@ def energy_tilde(instance, graph, thermo, x, y, ctx=None):
 
 def grad_y_tilde(instance, graph, thermo, x, y):
     ctx, lap_y = distributed_ctx(instance), graph.apply_laplacian(np.asarray(y, dtype=float))
-    return ctx.y_rate(graph, np.asarray(x, dtype=float), lap_y, ctx.weight)
+    return ctx.y_rate(graph, np.asarray(x, dtype=float), lap_y, ctx.w)
 
 
 def pt_inverse(mat, floor):

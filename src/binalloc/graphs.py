@@ -16,9 +16,9 @@ _SPARSE_FILL = 1.0 / 32.0
 
 
 def _count(value, least):
-    """Whether ``value`` is an integer (``operator.index``: not 2.5, nor 2.0) >= ``least``."""
+    """Whether ``value`` is an integer (``operator.index``: not 2.5, 2.0 nor True) >= ``least``."""
     try:
-        return operator.index(value) >= least
+        return not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
         return False
 

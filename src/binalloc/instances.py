@@ -137,11 +137,6 @@ def eval_p1(instance, x):
     return float(_agent_costs(instance, x).sum() + 0.5 * instance.penalty * mismatch**2)
 
 
-def residual_weight(instance):
-    """The weight w of P2's residual term 0.5 w |output*x + L y - target/n|^2: its one home."""
-    return instance.penalty
-
-
 def round_to_binary(x):
     """Map a fractional point to bits; entries at 0.5 round up."""
     x = _vec(x, name="x")

@@ -7,7 +7,7 @@ import numpy as np
 from binalloc import bench, dynamics
 from binalloc import energy as en
 from binalloc.graphs import random_connected_graph
-from binalloc.instances import random_instance, residual_weight
+from binalloc.instances import random_instance
 
 
 def agent_rates(state, instance, graph, thermo, alpha, agent):
@@ -19,7 +19,7 @@ def agent_rates(state, instance, graph, thermo, alpha, agent):
     agent's neighbours are read off ``graph.edges`` here, not taken from the library.
     """
     i, x, y, p = int(agent), state.x, state.y, instance.output
-    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
+    ratio, weight = thermo.temp / thermo.time_const, en.distributed_ctx(instance).w
 
     def neighbors(j):
         return [b if a == j else a for a, b in graph.edges if j in (a, b)]
@@ -48,7 +48,7 @@ def joint_hessian(instance, graph, thermo, x):
     """Dense blocks (A, B, C) of the Hessian [[A, B], [B^T, C]] of P2 plus barrier in (x, y),
     assembled from the definition: A = diag(quad + w p^2 + curvature), B = w diag(p) L,
     C = w L^2. It does not depend on y."""
-    w, p, lap = residual_weight(instance), instance.output, graph.laplacian
+    w, p, lap = en.distributed_ctx(instance).w, instance.output, graph.laplacian
     curvature = thermo.temp / thermo.time_const / (x - x**2)
     return np.diag(instance.quad + w * p**2 + curvature), w * p[:, None] * lap, w * lap @ lap
 

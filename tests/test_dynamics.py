@@ -27,7 +27,7 @@ from binalloc.energy import (
 )
 from binalloc.errors import ConnectivityError, DomainError, NumericFailureError, ShapeError
 from binalloc.graphs import Graph, named_topology, random_connected_graph, y_star
-from binalloc.instances import Instance, random_instance, residual_weight, round_to_binary
+from binalloc.instances import Instance, random_instance, round_to_binary
 from oracles import agent_rates, joint_hessian, schur_spectrum
 
 THERMO = Thermo(temp=1.0, time_const=0.1, floor=0.1)
@@ -245,7 +245,7 @@ def test_binnn_d_matches_independent_assembly():
 def _unfused_binnn_d_rates(instance, graph, thermo, alpha):
     """The binnn-d rates as one allocating numpy expression per quantity, the
     form they had before the fused kernel: its byte-for-byte reference."""
-    ratio, weight = thermo.temp / thermo.time_const, residual_weight(instance)
+    ratio, weight = thermo.temp / thermo.time_const, distributed_ctx(instance).w
     coupling_diag = instance.quad + weight * instance.output**2
     weight_output, quad_center = weight * instance.output, instance.quad * instance.center
     target_share, y_gain = instance.target / instance.n, -alpha * weight
@@ -576,6 +576,23 @@ def test_terminal_diagnostics_distributed_match_independent_assembly():
         assert diag.grad_y_inf == float(np.max(np.abs(gy)))
         schur = schur_spectrum(inst, graph, thermo, x)
         assert abs(diag.min_hessian_eig - schur.min()) <= 1e-12 * np.abs(schur).max()
+
+
+@pytest.mark.parametrize("topology", ["path", "random"])
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_each_context_weight_is_its_certificates_rank_one_term(n, topology):
+    # diag(quad + curvature) + weight weight^T is the centralized energy's Hessian in x and
+    # binnn-d's with y eliminated: the two matrices that terminal_diagnostics certifies on
+    rng = np.random.default_rng([n, 27])
+    for seed in range(6):
+        inst = random_instance(n, seed, gamma=(0.5, 3.0)[seed % 2], p_ref=15.0 * n)
+        graph = named_topology(topology, n, seed=seed)
+        x = rng.uniform(0.02, 0.98, n)
+        curvature = THERMO.temp / THERMO.time_const / (x - x**2)
+        for ctx, ref in ((centralized_ctx(inst), np.linalg.eigvalsh(hessian(inst, THERMO, x))),
+                         (distributed_ctx(inst), schur_spectrum(inst, graph, THERMO, x))):
+            got = np.linalg.eigvalsh(np.diag(inst.quad + curvature) + np.outer(ctx.weight, ctx.weight))
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_distributed_certificate_is_the_joint_hessian_with_y_eliminated():

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from binalloc import graphs
+from binalloc import AnnealSchedule, SolverConfig, graphs
+from binalloc.bench import CampaignConfig, run_campaign
 from binalloc.errors import ConnectivityError, InvalidGraphError, ShapeError
 from binalloc.graphs import (
     Graph,
@@ -11,6 +12,7 @@ from binalloc.graphs import (
     random_connected_graph,
     y_star,
 )
+from binalloc.instances import random_instance
 
 
 def test_laplacian_path3():
@@ -121,6 +123,27 @@ def test_random_connected_graph_refuses_a_size_that_is_not_an_integer():
     for n in (2.5, 2.0, "3", None):
         with pytest.raises(ValueError, match="n must be >= 1"):
             random_connected_graph(n)
+
+
+_BOOLEAN_COUNTS = {  # every reader of graphs._count, each refusing True with its own error
+    "Graph": (lambda: Graph(True, []), InvalidGraphError, "integer number of nodes"),
+    "named_topology": (lambda: named_topology("path", True), InvalidGraphError, "integer number of nodes"),
+    "random_instance": (lambda: random_instance(True, 0), ShapeError, "n must be an integer >= 0"),
+    "random_connected_graph": (lambda: random_connected_graph(True), ValueError, "n must be >= 1"),
+    "sample_stride": (lambda: SolverConfig(sample_stride=True), ValueError, "sample_stride an integer"),
+    "steps": (lambda: AnnealSchedule(steps=True), ValueError, "steps an integer >= 1"),
+    "campaign n": (lambda: CampaignConfig(n=True), ValueError, "n and trials must be integers"),
+    "trials": (lambda: CampaignConfig(trials=True), ValueError, "n and trials must be integers"),
+    "jobs": (lambda: run_campaign(CampaignConfig(n=2, trials=1, methods=("greedy",)), jobs=True),
+             ValueError, "jobs must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("site", _BOOLEAN_COUNTS)
+def test_a_count_refuses_a_boolean(site):
+    build, error, message = _BOOLEAN_COUNTS[site]
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_fiedler_positive_for_connected():

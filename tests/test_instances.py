@@ -13,6 +13,7 @@ from binalloc import (
     random_instance,
     round_to_binary,
 )
+from binalloc.energy import distributed_ctx
 from binalloc.errors import (
     ConnectivityError,
     InvalidCoefficientError,
@@ -26,7 +27,6 @@ from binalloc.instances import (
     default_quad,
     from_json_dict,
     load_instance,
-    residual_weight,
     save_instance,
     to_json_dict,
 )
@@ -139,12 +139,12 @@ def test_eval_p2_shift_invariance(bench_small):
 @pytest.mark.parametrize("topology", ["random", "path", "ring"])
 @pytest.mark.parametrize("n", [2, 5, 20, 50])
 def test_p2_minimized_over_y_is_the_agent_costs_plus_the_pooled_mismatch(n, topology):
-    # with w = residual_weight: min_y P2 = sum_i f_i(x_i) + 0.5 (w/n) (p.x - P)^2, at y_star
+    # with w the residual weight: min_y P2 = sum_i f_i(x_i) + 0.5 (w/n) (p.x - P)^2, at y_star
     for seed in range(15):
         rng = np.random.default_rng([n, seed])
         inst = random_instance(n, seed, gamma=rng.uniform(0.5, 4.0), p_ref=rng.uniform(0.0, 30.0 * n))
         graph = named_topology(topology, n, seed=seed)
-        w = residual_weight(inst)
+        w = distributed_ctx(inst).w
         for x in (rng.uniform(0.01, 0.99, n), rng.integers(0, 2, n).astype(float)):
             agents = inst.quad * x * (0.5 * x - inst.center) + inst.passive  # f_i, expanded
             mismatch = float(inst.output @ x) - inst.target
