@@ -110,42 +110,31 @@ def run_campaign(config, jobs=1):
     return [rec for chunk in chunks for rec in chunk]
 
 
-def _trial_points(costs):
-    """Placement points for one trial: best gets k-1, ties share the mean."""
-    costs = np.minimum(costs, np.finfo(float).max)  # failures (inf) tie; inf - inf is nan
-    k = len(costs)
-    order = np.argsort(costs, kind="stable")
-    # a run of sorted costs with gaps within the tolerance is one group, as
-    # energy._deflate groups poles; its placements share their mean points
-    group = np.cumsum(np.r_[True, np.diff(costs[order]) > COST_TIE_TOL]) - 1
-    mean = np.bincount(group, k - 1.0 - np.arange(k)) / np.bincount(group)
-    points = np.empty(k)
-    points[order] = mean[group]
-    return points
-
-
 def q_metric(records):
-    """Per-method rank score in [0,1] over a campaign's trials of two or more methods."""
-    by_trial = {}
-    methods = []
-    for rec in records:
-        by_trial.setdefault(rec.trial, {})[rec.method] = rec.cost
-        if rec.method not in methods:
-            methods.append(rec.method)
+    """Per-method rank score in [0,1] over a campaign's trials of two or more methods: in
+    each trial the cheapest of k methods earns k-1 points, and Q is points over (k-1)·trials.
+    Raises IncompleteCampaignError unless each (trial, method) has exactly one record."""
+    rows = {t: i for i, t in enumerate(dict.fromkeys(rec.trial for rec in records))}
+    methods = list(dict.fromkeys(rec.method for rec in records))
     k = len(methods)
     if k < 2:
         raise ValueError(f"the Q metric needs at least two methods, got {methods}")
-    trials = len(by_trial)
-    totals = dict.fromkeys(methods, 0.0)
-    for trial, costs in by_trial.items():
-        if set(costs) != set(methods):
-            raise IncompleteCampaignError(f"trial {trial} is missing methods")
-        arr = np.array([costs[m] for m in methods])
-        pts = _trial_points(arr)
-        for m, p in zip(methods, pts):
-            totals[m] += p
-    norm = (k - 1) * trials
-    return {m: totals[m] / norm for m in methods}
+    cells = [rows[rec.trial] * k + methods.index(rec.method) for rec in records]
+    if not len(set(cells)) == len(cells) == len(rows) * k:
+        raise IncompleteCampaignError(f"each of {len(rows)} trials needs one record per method of {methods}")
+    costs = np.empty(len(cells))
+    costs[cells] = [rec.cost for rec in records]
+    # trials × methods, with failures (inf) clamped so that they tie: inf - inf is nan
+    costs = np.minimum(costs, np.finfo(float).max).reshape(-1, k)
+    order = np.argsort(costs, axis=1, kind="stable")
+    # a run of sorted costs with gaps within the tolerance is one group (as energy._deflate
+    # groups poles) and shares its placements' mean points; each row starts a group
+    starts = np.diff(np.take_along_axis(costs, order, axis=1), axis=1, prepend=-np.inf) > COST_TIE_TOL
+    group = np.cumsum(starts) - 1
+    mean = np.bincount(group, np.tile(k - 1.0 - np.arange(k), len(rows))) / np.bincount(group)
+    points = np.empty_like(costs)
+    np.put_along_axis(points, order, mean[group].reshape(costs.shape), axis=1)
+    return dict(zip(methods, (points.sum(axis=0) / ((k - 1) * len(rows))).tolist()))
 
 
 def _fmt(value):

@@ -40,4 +40,4 @@ class NumericFailureError(BinallocError, RuntimeError):
 
 
 class IncompleteCampaignError(BinallocError, ValueError):
-    """A benchmark campaign is missing (trial, method) records."""
+    """A benchmark campaign is missing a (trial, method) record, or repeats one."""

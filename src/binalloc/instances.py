@@ -203,7 +203,7 @@ def from_json_dict(doc):
     """Build (instance, graph-or-None) from the on-disk schema.
 
     Accepts either explicit a+b arrays or a c array (centers are then fitted
-    with default quadratic coefficients).
+    with default quadratic coefficients), not both.
     """
     if not (isinstance(doc, dict) and "n" in doc and "p" in doc):
         raise ShapeError("an instance is a JSON object with at least the keys 'n' and 'p'")
@@ -218,15 +218,16 @@ def from_json_dict(doc):
     if not all(isinstance(v, (int, float)) for v in (gamma, p_ref)):  # a number: not "2", nor null
         raise ShapeError(f"gamma and p_ref must be numbers, got {gamma!r} and {p_ref!r}")
     d = _vec(doc.get("d", np.zeros(n)), n, "d")
-    if "a" in doc and "b" in doc:
+    given = {"a", "b", "c"} & doc.keys()
+    if given == {"a", "b"}:
         a = _vec(doc["a"], n, "a")
         b = _vec(doc["b"], n, "b")
-    elif "c" in doc:
+    elif given == {"c"}:
         c = _vec(doc["c"], n, "c")
         a = default_quad(p, gamma)
         a, b, d = fit_coefficients(c, a, d)
-    else:
-        raise ShapeError("instance JSON needs either 'a'+'b' or 'c'")
+    else:  # neither form, half of a+b, or c beside a or b: a key would go unread
+        raise ShapeError(f"give either 'a'+'b' or 'c', got {sorted(given)}")
     inst = Instance(quad=a, center=b, passive=d, output=p, penalty=gamma, target=p_ref)
     edges = doc.get("edges")
     return inst, None if edges is None else Graph(n, edges)

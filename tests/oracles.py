@@ -59,6 +59,28 @@ def schur_spectrum(instance, graph, thermo, x):
     return np.linalg.eigvalsh(a - b @ np.linalg.pinv(c) @ b.T)
 
 
+def q_metric(records):
+    """The Q metric scored one trial at a time, as a dict of per-trial costs: the
+    reference that ``bench.q_metric``'s one trials × methods table must match bit for bit."""
+    by_trial, methods = {}, []
+    for rec in records:
+        by_trial.setdefault(rec.trial, {})[rec.method] = rec.cost
+        if rec.method not in methods:
+            methods.append(rec.method)
+    k = len(methods)
+    totals = dict.fromkeys(methods, 0.0)
+    for costs in by_trial.values():
+        arr = np.minimum(np.array([costs[m] for m in methods]), np.finfo(float).max)
+        order = np.argsort(arr, kind="stable")
+        group = np.cumsum(np.r_[True, np.diff(arr[order]) > bench.COST_TIE_TOL]) - 1
+        mean = np.bincount(group, k - 1.0 - np.arange(k)) / np.bincount(group)
+        points = np.empty(k)
+        points[order] = mean[group]
+        for m, p in zip(methods, points):
+            totals[m] += p
+    return {m: totals[m] / ((k - 1) * len(by_trial)) for m in methods}
+
+
 def median_step_time(method, n, steps=50, seed=0, repeats=3):
     """Median per-step wall time of a flow at a given problem size, timing the
     integrator's step directly (``run`` ends a round once its state freezes)."""

@@ -20,6 +20,7 @@ from binalloc.errors import IncompleteCampaignError
 from binalloc.graphs import random_connected_graph
 from binalloc.instances import eval_p1, random_instance
 from oracles import median_step_time
+from oracles import q_metric as per_trial_q_metric
 
 FAST_SOLVER = SolverConfig(
     thermo=Thermo(temp=1.0, time_const=0.1, floor=0.1),
@@ -97,6 +98,37 @@ def test_q_rejects_missing_method():
     del recs[-1]
     with pytest.raises(IncompleteCampaignError):
         q_metric(recs)
+
+
+def test_q_rejects_a_repeated_record():
+    recs = records_from_table({"a": [1.0, 2.0], "b": [1.0, 2.0]})
+    recs.append(replace(recs[0], cost=0.5))
+    with pytest.raises(IncompleteCampaignError):
+        q_metric(recs)
+
+
+def _random_campaign_records(seed):
+    """A shuffled record set of 2-8 methods over 1, 2, 30 or 400 trials with scattered ids;
+    costs run in chains of gaps within, at and just past COST_TIE_TOL, with failures (inf)."""
+    rng = np.random.default_rng(seed)
+    k, trials = 2 + seed % 7, (1, 2, 30, 400)[seed % 4]
+    gaps = bench.COST_TIE_TOL * np.array([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 1e9])
+    # about 30% of the trials start from 0, where a gap of exactly the tolerance stays exact
+    base = rng.uniform(-5, 5, (trials, 1)) * (rng.random((trials, 1)) < 0.7)
+    costs = base + np.cumsum(rng.choice(gaps, (trials, k)), axis=1)
+    costs[rng.random((trials, k)) < 0.1] = np.inf
+    ids = rng.choice(10**6, trials, replace=False)
+    recs = [TrialRecord(int(ids[t]), f"m{j}", float(costs[t, col]), 0.0, 1, True)
+            for t in range(trials) for j, col in enumerate(rng.permutation(k))]
+    return [recs[i] for i in rng.permutation(len(recs))]
+
+
+def test_q_matches_the_per_trial_scorer_bit_for_bit():
+    for seed in range(308):
+        recs = _random_campaign_records(seed)
+        scores = q_metric(recs)
+        expected = per_trial_q_metric(recs)
+        assert list(scores) == list(expected) and scores == expected, seed
 
 
 def test_q_needs_two_methods():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,17 @@ def test_json_rejects_missing_costs():
         from_json_dict({"n": 1, "p": [1.0]})
 
 
+@pytest.mark.parametrize("coefficients", [
+    {"a": [-10, -10], "c": [2, 1]},
+    {"b": [0.7, 0.6], "c": [2, 1]},
+    {"a": [-10, -10], "b": [0.7, 0.6], "c": [2, 1]},
+], ids=["a+c", "b+c", "a+b+c"])
+def test_json_refuses_both_coefficient_forms(coefficients):
+    message = f"give either 'a'+'b' or 'c', got {sorted(coefficients)}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        from_json_dict({"n": 2, "p": [3, 1], **coefficients})
+
+
 def test_json_size_is_an_integer():
     for n in (2.7, 2.0, "2", None):
         with pytest.raises(ShapeError, match="n must be an integer"):
@@ -317,7 +329,8 @@ def test_json_refuses_a_boolean_for_a_number(key, value):
 def test_json_refuses_a_boolean_inside_an_array(key, value):
     # numpy and Graph would read it as 0 or 1, and a solve would run on those numbers
     doc = {"n": 2, "p": [1, 2], "c": [1, 4], "edges": [[0, 1]]}
-    if key in ("a", "b"):
+    if key in ("a", "b"):  # a file gives either a+b or c
+        del doc["c"]
         doc.update(a=[-3, -3], b=[0.5, 0.5])
     from_json_dict(doc)
     with pytest.raises(ShapeError, match=f"^{key} must hold numbers, not booleans$"):
